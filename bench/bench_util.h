@@ -23,6 +23,8 @@
 // without observability.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -283,13 +285,18 @@ class Session {
         } else {
           std::fputs("{\"timeseries\":[]}", f);
         }
-        // Host wall-clock for the whole run: the cheap always-on signal
-        // that the simulator itself has not regressed.
+        // Host wall-clock and peak memory for the whole run: the cheap
+        // always-on signals that the simulator itself has not regressed.
         const double wall_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - wall_start_)
                 .count();
         std::fprintf(f, ",\"wall_clock_ms\":%.3f", wall_ms);
+        // ru_maxrss is in KiB.
+        struct rusage ru {};
+        getrusage(RUSAGE_SELF, &ru);
+        std::fprintf(f, ",\"peak_rss_mb\":%.1f",
+                     static_cast<double>(ru.ru_maxrss) / 1024.0);
         std::fputs("}\n", f);
         std::fclose(f);
       } else {

@@ -5,6 +5,7 @@
 // explicitly seeded Rng so a failing run can be replayed exactly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace pg {
@@ -25,17 +26,7 @@ class Rng {
     }
   }
 
-  std::uint64_t next_u64() {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-  }
+  std::uint64_t next_u64() { return step(state_); }
 
   std::uint32_t next_u32() { return static_cast<std::uint32_t>(next_u64() >> 32); }
 
@@ -59,9 +50,33 @@ class Rng {
 
   std::uint8_t next_byte() { return static_cast<std::uint8_t>(next_u64()); }
 
+  /// Writes the next `n` bytes of the next_byte() stream to `out`
+  /// (identical to `n` next_byte() calls). The state lives in locals for
+  /// the loop, so the byte stores cannot alias it and force a reload.
+  void fill_bytes(std::uint8_t* out, std::size_t n) {
+    std::uint64_t s[4] = {state_[0], state_[1], state_[2], state_[3]};
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<std::uint8_t>(step(s));
+    }
+    for (int k = 0; k < 4; ++k) state_[k] = s[k];
+  }
+
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+  }
+
+  // One xoshiro256** output and state advance.
+  static std::uint64_t step(std::uint64_t (&s)[4]) {
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
   }
 
   std::uint64_t state_[4] = {};

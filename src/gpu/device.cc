@@ -631,7 +631,7 @@ void Gpu::pump_sysmem_reads() {
 // ---------------------------------------------------------------------------
 // The interpreter.
 
-void Gpu::run_warp(std::shared_ptr<WarpExec> w) {
+void Gpu::run_warp(const std::shared_ptr<WarpExec>& w) {
   WarpState& ws = w->state;
   // The predecoded stream: secondary decode (cmp/cond/sreg dispatch,
   // immediate casts) happened once at launch, so every case below lands

@@ -121,7 +121,9 @@ class Gpu : public pcie::Endpoint {
   struct StreamState;
 
   void start_launch(std::shared_ptr<LaunchState> ls);
-  void run_warp(std::shared_ptr<WarpExec> w);
+  // `w` is owned by the scheduled event that calls this (alive for the
+  // whole call); every continuation scheduled from here copies it.
+  void run_warp(const std::shared_ptr<WarpExec>& w);
   void retire_warp(const std::shared_ptr<WarpExec>& w, SimDuration dt);
 
   SimDuration cycles(std::uint32_t n) const {

@@ -1,5 +1,6 @@
 #include "gpu/l2cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/bitops.h"
@@ -9,6 +10,7 @@ namespace pg::gpu {
 L2Cache::L2Cache(L2Config cfg) : cfg_(cfg) {
   assert(is_power_of_two(cfg_.line_size));
   lines_.resize(static_cast<std::size_t>(cfg_.num_sets) * cfg_.ways);
+  set_valid_.resize(cfg_.num_sets);
 }
 
 bool L2Cache::access(mem::Addr addr, bool is_write) {
@@ -34,6 +36,7 @@ bool L2Cache::access(mem::Addr addr, bool is_write) {
   // Allocate on both read and write misses (write-allocate keeps
   // poll-after-own-store hitting).
   (void)is_write;
+  if (!victim->valid) ++set_valid_[set];
   victim->valid = true;
   victim->tag = line;
   victim->lru_stamp = clock_;
@@ -44,13 +47,17 @@ void L2Cache::invalidate_range(mem::Addr addr, std::uint64_t len) {
   if (len == 0) return;
   const std::uint64_t first = line_addr(addr);
   const std::uint64_t last = line_addr(addr + len - 1);
+  // A line lives in at most one way (access() allocates only on a miss),
+  // so each probe stops at its first match, and sets holding no valid
+  // line are skipped outright.
   for (std::uint64_t line = first; line <= last; ++line) {
     const std::uint32_t set = set_of(line);
+    if (set_valid_[set] == 0) continue;
     Line* slot = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
     for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
       if (slot[w].valid && slot[w].tag == line) {
-        slot[w].valid = false;
-        ++invalidations_;
+        invalidate_line(set, slot[w]);
+        break;
       }
     }
   }
@@ -63,6 +70,7 @@ void L2Cache::invalidate_all() {
       ++invalidations_;
     }
   }
+  std::fill(set_valid_.begin(), set_valid_.end(), 0);
 }
 
 }  // namespace pg::gpu

@@ -35,7 +35,7 @@ class L2Cache {
   bool access(mem::Addr addr, bool is_write);
 
   /// Invalidates every line overlapping [addr, addr+len) — the DMA-write
-  /// coherence action.
+  /// coherence action. Skips sets that hold no valid line.
   void invalidate_range(mem::Addr addr, std::uint64_t len);
 
   void invalidate_all();
@@ -56,9 +56,15 @@ class L2Cache {
   std::uint32_t set_of(std::uint64_t line) const {
     return static_cast<std::uint32_t>(line % cfg_.num_sets);
   }
+  void invalidate_line(std::uint32_t set, Line& l) {
+    l.valid = false;
+    --set_valid_[set];
+    ++invalidations_;
+  }
 
   L2Config cfg_;
   std::vector<Line> lines_;  // num_sets * ways, set-major
+  std::vector<std::uint32_t> set_valid_;  // valid lines per set
   std::uint64_t clock_ = 0;  // LRU stamp source
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -92,6 +92,33 @@ class MemoryDomain {
     gpu_dram_.write_u32(addr - AddressMap::kGpuDramBase, v);
   }
 
+  /// Page-granular direct access for bulk host-side movers, with the
+  /// contract of SparseMemory::span_in_page{,_mut}: nullptr when the range
+  /// straddles a 4 KiB page and, for the const form, when the page is
+  /// absent (its bytes read as zero). The _mut form allocates the page.
+  /// Both DRAM bases are page-aligned, so a 4 KiB-aligned system address
+  /// is the start of a backing page.
+  static_assert(AddressMap::kHostDramBase % SparseMemory::kPageSize == 0);
+  static_assert(AddressMap::kGpuDramBase % SparseMemory::kPageSize == 0);
+  const std::uint8_t* span_in_page(Addr addr, std::uint64_t len) const {
+    const Space s = AddressMap::classify(addr);
+    if (s == Space::kHostDram) {
+      return host_dram_.span_in_page(addr - AddressMap::kHostDramBase, len);
+    }
+    assert(s == Space::kGpuDram && "MemoryDomain::span_in_page on non-DRAM");
+    return gpu_dram_.span_in_page(addr - AddressMap::kGpuDramBase, len);
+  }
+  std::uint8_t* span_in_page_mut(Addr addr, std::uint64_t len) {
+    const Space s = AddressMap::classify(addr);
+    if (s == Space::kHostDram) {
+      return host_dram_.span_in_page_mut(addr - AddressMap::kHostDramBase,
+                                         len);
+    }
+    assert(s == Space::kGpuDram &&
+           "MemoryDomain::span_in_page_mut on non-DRAM");
+    return gpu_dram_.span_in_page_mut(addr - AddressMap::kGpuDramBase, len);
+  }
+
   /// Width-dispatched scalar load (zero-extended) / store for the GPU
   /// interpreter: one space classification, then the in-page typed fast
   /// path of the backing SparseMemory. Width must be 1, 2, 4 or 8.

@@ -1,25 +1,53 @@
 #include "putget/setup.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 
 #include "common/rng.h"
 
 namespace pg::putget {
 
+namespace {
+constexpr std::uint64_t kPage = mem::SparseMemory::kPageSize;
+}  // namespace
+
+// Both helpers stream page by page: a 64 MiB payload costs no host memory
+// beyond its own backing pages.
 void fill_pattern(sys::Node& node, mem::Addr addr, std::uint64_t len,
                   std::uint64_t seed) {
+  assert(node.memory().backed(addr, len) && "fill_pattern out of bounds");
   Rng rng(seed);
-  std::vector<std::uint8_t> data(len);
-  for (auto& b : data) b = rng.next_byte();
-  node.memory().write(addr, data);
+  while (len > 0) {
+    const std::uint64_t chunk = std::min(len, kPage - addr % kPage);
+    std::uint8_t* out = node.memory().span_in_page_mut(addr, chunk);
+    assert(out != nullptr);
+    rng.fill_bytes(out, chunk);
+    addr += chunk;
+    len -= chunk;
+  }
 }
 
 bool ranges_equal(sys::Node& a, mem::Addr addr_a, sys::Node& b,
                   mem::Addr addr_b, std::uint64_t len) {
-  std::vector<std::uint8_t> da(len), db(len);
-  a.memory().read(addr_a, da);
-  b.memory().read(addr_b, db);
-  return da == db;
+  assert(a.memory().backed(addr_a, len) && b.memory().backed(addr_b, len) &&
+         "ranges_equal out of bounds");
+  static constexpr std::uint8_t kZeroPage[kPage] = {};
+  while (len > 0) {
+    // A piece stays inside one page on both sides, so each side is one
+    // span, or absent (reads as zero).
+    const std::uint64_t chunk = std::min(
+        {len, kPage - addr_a % kPage, kPage - addr_b % kPage});
+    const std::uint8_t* pa = a.memory().span_in_page(addr_a, chunk);
+    const std::uint8_t* pb = b.memory().span_in_page(addr_b, chunk);
+    if (std::memcmp(pa ? pa : kZeroPage, pb ? pb : kZeroPage, chunk) != 0) {
+      return false;
+    }
+    addr_a += chunk;
+    addr_b += chunk;
+    len -= chunk;
+  }
+  return true;
 }
 
 Result<ExtollPair> ExtollPair::create(sys::Cluster& cluster,

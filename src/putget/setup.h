@@ -13,11 +13,13 @@
 namespace pg::putget {
 
 /// Fills [addr, addr+len) on `node` with deterministic pseudo-random
-/// bytes derived from `seed`.
+/// bytes derived from `seed`: the Rng(seed).next_byte() stream, written
+/// straight into each backing page.
 void fill_pattern(sys::Node& node, mem::Addr addr, std::uint64_t len,
                   std::uint64_t seed);
 
-/// True when the two ranges hold identical bytes.
+/// True when the two ranges hold identical bytes (absent pages read as
+/// zero). Compares page-sized pieces in place; allocates nothing.
 bool ranges_equal(sys::Node& a, mem::Addr addr_a, sys::Node& b,
                   mem::Addr addr_b, std::uint64_t len);
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/bitops.h"
 #include "common/ring.h"
@@ -154,6 +155,28 @@ TEST(Rng, RangesRespected) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
+}
+
+TEST(Rng, FillBytesMatchesNextByteStream) {
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 4095u, 4096u, 4097u}) {
+    Rng bulk(0xC0FFEE), ref(0xC0FFEE);
+    std::vector<std::uint8_t> got(n);
+    bulk.fill_bytes(got.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], ref.next_byte()) << "n=" << n << " i=" << i;
+    }
+    // The state advanced exactly n draws.
+    EXPECT_EQ(bulk.next_u64(), ref.next_u64()) << "n=" << n;
+  }
+}
+
+TEST(Rng, FillBytesSplitAcrossCallsContinuesStream) {
+  Rng split(42), whole(42);
+  std::vector<std::uint8_t> a(5000), b(5000);
+  split.fill_bytes(a.data(), 1234);
+  split.fill_bytes(a.data() + 1234, 5000 - 1234);
+  whole.fill_bytes(b.data(), b.size());
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 // Tests for the Sec.-VI extension prototypes: warp-collaborative posting
-// and GPU-resident EXTOLL notification queues.
+// and GPU-resident EXTOLL notification queues; also the payload fill and
+// verify helpers (putget/setup.h) whose results these tests rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.h"
 #include "putget/gpu_aware.h"
 #include "putget/ib_experiments.h"
 #include "putget/setup.h"
@@ -66,6 +71,69 @@ TEST(GpuAware, WarpPostProducesIdenticalWqe) {
   // And the payload landed at the peer.
   EXPECT_TRUE(ranges_equal(n0, pair->send0, cluster.node(1), pair->recv1,
                            256));
+}
+
+// --- Page-streamed payload set-up and verification -------------------------
+
+constexpr std::uint64_t kPage = mem::SparseMemory::kPageSize;
+// Far above anything the testbed allocates at start-up.
+constexpr std::uint64_t kUntouched = 1ull << 30;
+
+TEST(PayloadFill, MatchesByteAtATimeReference) {
+  sys::Cluster cluster(sys::ib_testbed());
+  sys::Node& n0 = cluster.node(0);
+  // Starts mid-page and spans four pages, in both DRAM spaces.
+  const std::uint64_t len = 3 * kPage + 123;
+  for (const mem::Addr base :
+       {mem::AddressMap::kGpuDramBase, mem::AddressMap::kHostDramBase}) {
+    const mem::Addr addr = base + kUntouched + 1000;
+    fill_pattern(n0, addr, len, 77);
+    std::vector<std::uint8_t> want(len);
+    Rng rng(77);
+    for (auto& byte : want) byte = rng.next_byte();
+    std::vector<std::uint8_t> got(len + 2);
+    n0.memory().read(addr - 1, got);
+    EXPECT_EQ(got.front(), 0u);  // nothing written before the range
+    EXPECT_EQ(got.back(), 0u);   // nor after it
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin() + 1));
+  }
+}
+
+TEST(PayloadVerify, RangesEqualEdgeCases) {
+  sys::Cluster cluster(sys::ib_testbed());
+  sys::Node& n0 = cluster.node(0);
+  sys::Node& n1 = cluster.node(1);
+  const mem::Addr a = mem::AddressMap::kGpuDramBase + kUntouched;
+  const mem::Addr b = a + 64 * kPage;
+  EXPECT_TRUE(ranges_equal(n0, a, n1, b, 0));
+
+  // An absent page equals an explicitly zeroed one.
+  ASSERT_EQ(n0.memory().span_in_page(a, kPage), nullptr);
+  const std::vector<std::uint8_t> zeros(2 * kPage, 0);
+  n1.memory().write(b, zeros);
+  EXPECT_TRUE(ranges_equal(n0, a, n1, b, 2 * kPage));
+  EXPECT_TRUE(ranges_equal(n1, b, n0, a, 2 * kPage));
+
+  // Same bytes at different page offsets on the two sides.
+  const std::uint64_t len = 3 * kPage + 77;
+  const mem::Addr src = a + 100;
+  const mem::Addr dst = b + 3000;
+  fill_pattern(n0, src, len, 9);
+  fill_pattern(n1, dst, len, 9);
+  EXPECT_TRUE(ranges_equal(n0, src, n1, dst, len));
+
+  // A one-byte difference is detected in the last byte and on either
+  // side of each range's page boundaries.
+  for (const std::uint64_t at :
+       {len - 1, kPage - 101, kPage - 100, kPage - 3001, kPage - 3000}) {
+    std::uint8_t orig = 0;
+    n1.memory().read(dst + at, {&orig, 1});
+    const auto flipped = static_cast<std::uint8_t>(orig ^ 0x01);
+    n1.memory().write(dst + at, {&flipped, 1});
+    EXPECT_FALSE(ranges_equal(n0, src, n1, dst, len)) << "at=" << at;
+    n1.memory().write(dst + at, {&orig, 1});
+    EXPECT_TRUE(ranges_equal(n0, src, n1, dst, len)) << "at=" << at;
+  }
 }
 
 TEST(GpuAware, WarpPingPongMovesCorrectBytes) {

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "gpu/assembler.h"
 #include "gpu/device.h"
+#include "gpu/l2cache.h"
 #include "mem/memory_domain.h"
 #include "pcie/fabric.h"
 #include "sim/simulation.h"
@@ -491,6 +492,95 @@ TEST(GpuDevice, LaunchOverheadDelaysExecution) {
   Program p = f.make(a);
   const SimDuration took = f.run({.program = &p});
   EXPECT_GE(took, f.cfg.launch_overhead);
+}
+
+// Tag/LRU model with the plain full-scan invalidation: L2Cache's
+// set-skipping probe must match it counter for counter.
+class ReferenceL2 {
+ public:
+  explicit ReferenceL2(L2Config cfg)
+      : cfg_(cfg), lines_(std::size_t{cfg.num_sets} * cfg.ways) {}
+
+  bool access(Addr addr) {
+    const std::uint64_t line = addr / cfg_.line_size;
+    Line* slot = &lines_[(line % cfg_.num_sets) * cfg_.ways];
+    Line* victim = slot;
+    ++clock_;
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+      Line& c = slot[w];
+      if (c.valid && c.tag == line) {
+        c.stamp = clock_;
+        ++hits;
+        return true;
+      }
+      if (!c.valid) {
+        victim = &c;
+      } else if (victim->valid && c.stamp < victim->stamp) {
+        victim = &c;
+      }
+    }
+    ++misses;
+    *victim = Line{line, true, clock_};
+    return false;
+  }
+
+  void invalidate_range(Addr addr, std::uint64_t len) {
+    if (len == 0) return;
+    for (std::uint64_t line = addr / cfg_.line_size;
+         line <= (addr + len - 1) / cfg_.line_size; ++line) {
+      Line* slot = &lines_[(line % cfg_.num_sets) * cfg_.ways];
+      for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+        if (slot[w].valid && slot[w].tag == line) {
+          slot[w].valid = false;
+          ++invalidations;
+        }
+      }
+    }
+  }
+
+  std::uint64_t hits = 0, misses = 0, invalidations = 0;
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    bool valid = false;
+    std::uint64_t stamp = 0;
+  };
+  L2Config cfg_;
+  std::vector<Line> lines_;
+  std::uint64_t clock_ = 0;
+};
+
+TEST(L2Cache, PropertyInvalidationMatchesFullScanModel) {
+  // A small cache (8 sets x 4 ways x 128 B = 4 KiB) over a 64 KiB
+  // window, so ranges below, at and far above the cache size all occur.
+  const L2Config cfg{.line_size = 128, .num_sets = 8, .ways = 4};
+  L2Cache l2(cfg);
+  ReferenceL2 ref(cfg);
+  Rng rng(2024);
+  const Addr base = AddressMap::kGpuDramBase;
+  for (int i = 0; i < 20000; ++i) {
+    const Addr addr = base + rng.next_below(64 * 1024);
+    if (rng.next_below(4) != 0) {
+      ASSERT_EQ(l2.access(addr, false), ref.access(addr)) << "op " << i;
+    } else {
+      const std::uint64_t len = rng.next_below(4) == 0
+                                    ? rng.next_below(96 * 1024)
+                                    : rng.next_below(2048);
+      l2.invalidate_range(addr, len);
+      ref.invalidate_range(addr, len);
+    }
+    ASSERT_EQ(l2.invalidations(), ref.invalidations) << "op " << i;
+  }
+  EXPECT_EQ(l2.hits(), ref.hits);
+  EXPECT_EQ(l2.misses(), ref.misses);
+  EXPECT_GT(ref.invalidations, 1000u);
+  // invalidate_all leaves nothing for a later range to find.
+  l2.invalidate_all();
+  const std::uint64_t after_all = l2.invalidations();
+  l2.invalidate_range(base, 64 * 1024);
+  EXPECT_EQ(l2.invalidations(), after_all);
+  EXPECT_FALSE(l2.access(base, false));
 }
 
 }  // namespace

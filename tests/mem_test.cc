@@ -208,6 +208,28 @@ TEST(MemoryDomain, BackedChecks) {
   EXPECT_FALSE(dom.backed(0x1234, 8));
 }
 
+TEST(MemoryDomain, SpanInPageRoutesBothSpaces) {
+  MemoryDomain dom;
+  for (const Addr base : {AddressMap::kHostDramBase, AddressMap::kGpuDramBase}) {
+    // Absent page: no read span; the mutable span allocates it.
+    EXPECT_EQ(dom.span_in_page(base + 4096, 8), nullptr);
+    std::uint8_t* w = dom.span_in_page_mut(base + 4096 + 8, 8);
+    ASSERT_NE(w, nullptr);
+    std::memcpy(w, "pagebyte", 8);
+    const std::uint8_t* r = dom.span_in_page(base + 4096 + 8, 8);
+    ASSERT_EQ(r, w);
+    std::uint8_t back[8];
+    dom.read(base + 4096 + 8, back);
+    EXPECT_EQ(std::memcmp(back, "pagebyte", 8), 0);
+    // A straddle is never one span.
+    EXPECT_EQ(dom.span_in_page(base + 4090, 16), nullptr);
+    EXPECT_EQ(dom.span_in_page_mut(base + 4090, 16), nullptr);
+  }
+  // Host and GPU spans at the same offset are distinct storage.
+  EXPECT_NE(dom.span_in_page(AddressMap::kHostDramBase + 4096, 8),
+            dom.span_in_page(AddressMap::kGpuDramBase + 4096, 8));
+}
+
 // --- Registration ----------------------------------------------------------
 
 TEST(Registration, RegisterAndTranslate) {
