@@ -2,11 +2,12 @@
 //
 // Measures the host-time cost of the three simulation hot paths (event
 // engine, PTX-lite interpreter, sparse memory), the end-to-end
-// wall-clock of the two heaviest figure sweeps, and the parallel-engine
-// scaling matrix (ring workload, nodes x threads, every cell hard-gated
-// to the threads=1 fingerprint), and writes the numbers to a JSON file
-// (default BENCH_simcore.json) so CI can archive them and regressions
-// show up as a diff, not an anecdote.
+// wall-clock of the two heaviest figure sweeps, a host-polled bulk
+// ping-pong with its executed vs fast-forwarded poll probes, and the
+// parallel-engine scaling matrix (ring workload, nodes x threads, every
+// cell hard-gated to the threads=1 fingerprint), and writes the numbers
+// to a JSON file (default BENCH_simcore.json) so CI can archive them and
+// regressions show up as a diff, not an anecdote.
 //
 //   simcore_perf [--json=FILE]
 //
@@ -166,6 +167,28 @@ double bench_fig2_wall_ms() {
     }
   }
   return ms_since(start);
+}
+
+/// Host polling: one 16 MiB host-controlled EXTOLL ping-pong. The host
+/// CPUs spin on notifications for the whole transfer; most of their
+/// probes are charged by the poll-loop fast-forward instead of run.
+struct HostPollRun {
+  double wall_ms = 0.0;
+  putget::PingPongResult result;
+};
+
+HostPollRun bench_host_poll() {
+  const auto start = Clock::now();
+  HostPollRun out;
+  out.result = putget::run_extoll_pingpong(
+      sys::extoll_testbed(), putget::TransferMode::kHostControlled,
+      16u << 20, 1);
+  out.wall_ms = ms_since(start);
+  if (!out.result.payload_ok) {
+    std::fprintf(stderr, "host_poll workload FAILED\n");
+    std::exit(1);
+  }
+  return out;
 }
 
 // --- Parallel-engine scaling matrix --------------------------------
@@ -373,6 +396,7 @@ int main(int argc, char** argv) {
       std::printf("simcore-perf\n");
       for (const char* s : {"event queue", "interpreter", "sparse memory",
                             "fig1 latency sweep", "fig2 msgrate sweep",
+                            "host poll (16 MiB host-controlled ping-pong)",
                             "pdes scaling matrix",
                             "traced pdes scaling (byte-parity gated)"}) {
         std::printf("  %s\n", s);
@@ -390,6 +414,8 @@ int main(int argc, char** argv) {
   const double mem_mb_per_s = bench_memory_mb_per_s(&bytes);
   const double fig1_ms = bench_fig1_wall_ms();
   const double fig2_ms = bench_fig2_wall_ms();
+  const HostPollRun host_poll = bench_host_poll();
+  const putget::PingPongResult& hp = host_poll.result;
   const std::vector<PdesCell> pdes = bench_pdes_matrix();
   const std::vector<TracedCell> traced = bench_pdes_traced();
 
@@ -402,6 +428,12 @@ int main(int argc, char** argv) {
               mem_mb_per_s, static_cast<unsigned long long>(bytes));
   std::printf("  fig1 latency sweep %10.1f ms wall\n", fig1_ms);
   std::printf("  fig2 msgrate sweep %10.1f ms wall\n", fig2_ms);
+  std::printf("  host poll 16 MiB   %10.1f ms wall    (%llu events, probes "
+              "%llu executed / %llu skipped)\n",
+              host_poll.wall_ms,
+              static_cast<unsigned long long>(hp.events_scheduled),
+              static_cast<unsigned long long>(hp.probes_executed),
+              static_cast<unsigned long long>(hp.probes_skipped));
   std::printf("  pdes ring scaling (cells=%u iters=%u, checksum-gated)\n",
               kPdesCells, kPdesIters);
   for (const PdesCell& c : pdes) {
@@ -424,6 +456,15 @@ int main(int argc, char** argv) {
                  "\"fig1_extoll_latency_wall_ms\":%.3f,"
                  "\"fig2_extoll_msgrate_wall_ms\":%.3f},\n",
                  event_ns, instr_per_s, mem_mb_per_s, fig1_ms, fig2_ms);
+    std::fprintf(f,
+                 " \"host_poll\":{\"workload\":\"extoll/hostControlled "
+                 "pingpong 16 MiB x1\",\"wall_ms\":%.3f,"
+                 "\"events_scheduled\":%llu,\"probes_executed\":%llu,"
+                 "\"probes_skipped\":%llu},\n",
+                 host_poll.wall_ms,
+                 static_cast<unsigned long long>(hp.events_scheduled),
+                 static_cast<unsigned long long>(hp.probes_executed),
+                 static_cast<unsigned long long>(hp.probes_skipped));
     std::fprintf(f,
                  " \"pdes\":{\"workload\":\"ext_multinode_ring/extoll\","
                  "\"cells_per_node\":%u,\"iterations\":%u,\"reps\":%d,"

@@ -66,6 +66,8 @@ class HostCpu {
 
   /// Polls until `predicate` holds, probing at the cached-poll interval
   /// (host-memory polling: each probe is an L1 hit plus pipeline cost).
+  /// `predicate` must only read state (plain loads): probes that provably
+  /// fail are then charged instead of executed (sim::PollUntil).
   [[nodiscard]] sim::PollUntil poll_until(std::function<bool()> predicate) {
     return {sim_, std::move(predicate), cfg_.cached_poll_interval,
             cfg_.cached_poll_interval};

@@ -278,6 +278,8 @@ PingPongResult run_pingpong(Transport& t, const sys::ClusterConfig& cfg,
   // (and vice versa).
   result.payload_ok = t.payload_ok_bidir(size);
   result.events_scheduled = cluster.sim().total_scheduled();
+  result.probes_executed = cluster.sim().probes_executed();
+  result.probes_skipped = cluster.sim().probes_skipped();
   return result;
 }
 

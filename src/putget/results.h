@@ -20,6 +20,10 @@ struct PingPongResult {
   /// Total events the cluster simulation ever scheduled: a determinism
   /// fingerprint - two runs of the same experiment must agree exactly.
   std::uint64_t events_scheduled = 0;
+  /// Host-only: poll probes run as events vs charged without running
+  /// (sim::Simulation::probes_skipped). Not part of any fingerprint.
+  std::uint64_t probes_executed = 0;
+  std::uint64_t probes_skipped = 0;
 };
 
 struct BandwidthResult {

@@ -131,7 +131,12 @@ struct Delay {
 /// co_await PollUntil{sim, pred, interval, probe_cost}:
 /// models a CPU polling loop. The predicate is probed every `interval`;
 /// once true, the coroutine resumes `probe_cost` later (the cost of the
-/// successful probe itself). Probes are pure reads of simulator state.
+/// successful probe itself). Probes are pure reads of simulator state:
+/// the predicate must not write anything, so a probe that follows only
+/// other probes sees what the previous one saw. Re-probes go through
+/// Simulation::schedule_reprobe, which may charge such provably failing
+/// probes instead of executing them; the probe count, event counts and
+/// every event key are those of the stepped loop.
 struct PollUntil {
   Simulation& sim;
   std::function<bool()> predicate;
@@ -140,10 +145,12 @@ struct PollUntil {
 
   std::coroutine_handle<> handle_{};
   std::uint64_t probes_ = 0;
+  Simulation::PollLoop loop_{};
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
     handle_ = h;
+    loop_.interval = interval;
     step();
   }
   /// Number of probes it took (including the successful one).
@@ -153,10 +160,11 @@ struct PollUntil {
   void step() {
     ++probes_;
     if (predicate()) {
+      sim.poll_done(loop_);
       sim.schedule(probe_cost, [h = handle_]() mutable { h.resume(); });
       return;
     }
-    sim.schedule(interval, [this] { step(); });
+    probes_ += sim.schedule_reprobe(loop_, [this] { step(); });
   }
 };
 

@@ -6,7 +6,7 @@
 namespace pg::sim {
 
 EventId EventQueue::push_entry(SimTime when, SimTime birth_time, EventId tag,
-                               EventFn fn) {
+                               EventFn fn, bool probe) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
@@ -16,7 +16,7 @@ EventId EventQueue::push_entry(SimTime when, SimTime birth_time, EventId tag,
     free_slots_.pop_back();
     slots_[slot] = std::move(fn);
   }
-  heap_.push_back(Entry{when, birth_time, tag, slot});
+  heap_.push_back(Entry{when, birth_time, tag, slot, probe});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_count_;
   return tag;
@@ -25,6 +25,13 @@ EventId EventQueue::push_entry(SimTime when, SimTime birth_time, EventId tag,
 EventId EventQueue::schedule_at(SimTime when, SimTime birth_time, EventFn fn) {
   ++scheduled_;
   return push_entry(when, birth_time, make_tag(), std::move(fn));
+}
+
+EventId EventQueue::schedule_probe(SimTime when, SimTime birth_time,
+                                   std::uint64_t skipped, EventFn&& fn) {
+  scheduled_ += skipped + 1;
+  return push_entry(when, birth_time, make_tag(skipped), std::move(fn),
+                    /*probe=*/true);
 }
 
 EventId EventQueue::schedule_admitted(SimTime when, SimTime birth_time,
@@ -100,6 +107,25 @@ void EventQueue::drop_cancelled_slow() {
   if (!heap_.empty()) checked_top_ = heap_.front().tag;
 }
 
+SimTime EventQueue::next_plain_time() const {
+  // Heap order: an entry's children are never earlier than it, so a
+  // plain live entry bounds its whole subtree and the search descends
+  // only through probes and tombstones.
+  SimTime best = kNever;
+  auto visit = [&](auto& self, std::size_t i) -> void {
+    if (i >= heap_.size() || heap_[i].time >= best) return;
+    const Entry& e = heap_[i];
+    if (!e.probe && (cancelled_.empty() || cancelled_.count(e.tag) == 0)) {
+      best = e.time;
+      return;
+    }
+    self(self, 2 * i + 1);
+    self(self, 2 * i + 2);
+  };
+  visit(visit, 0);
+  return best;
+}
+
 EventQueue::Key EventQueue::next_key() const {
   auto* self = const_cast<EventQueue*>(this);
   self->drop_cancelled();
@@ -114,7 +140,8 @@ EventQueue::Popped EventQueue::pop_front() {
   heap_.pop_back();
   // Moving out leaves the slot's InlineFn empty, so recycling it is a
   // no-op destroy.
-  Popped out{back.time, back.birth_time, back.tag, std::move(slots_[back.slot])};
+  Popped out{back.time, back.birth_time, back.tag,
+             std::move(slots_[back.slot]), back.probe};
   free_slots_.push_back(back.slot);
   retire_tag(back.tag);
   assert(live_count_ > 0);

@@ -13,16 +13,17 @@
 // birth time, per-shard counter, shard id), independent of thread count.
 //
 // Layout: the heap itself holds 32-byte POD entries (time, birth_time,
-// tag, slot), so sift-up/down moves are plain memcpys; the callbacks
-// live in a side pool of recycled slots that heap reordering never
-// touches. Callbacks are InlineFn (see inline_fn.h): scheduling a
-// lambda does not allocate unless its captures exceed the inline
-// buffer, and the slot pool reaches steady state at the maximum number
+// tag, slot, pure-probe flag), so sift-up/down moves are plain memcpys;
+// the callbacks live in a side pool of recycled slots that heap
+// reordering never touches. Callbacks are InlineFn (see inline_fn.h):
+// scheduling a lambda does not allocate unless its captures exceed the
+// inline buffer, and the slot pool reaches steady state at the maximum number
 // of in-flight events.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -40,6 +41,9 @@ using EventFn = InlineFn;
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEventId = 0;
 constexpr EventId kSharedSeqBit = 1ull << 63;
+
+/// "No such time": later than every event.
+constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
 class EventQueue {
  public:
@@ -86,6 +90,16 @@ class EventQueue {
     return schedule_at(when, 0, std::move(fn));
   }
 
+  /// Schedules a *pure probe*: one re-probe of a poll loop (PollUntil in
+  /// coro.h), whose callback only reads state. It is ordered exactly like
+  /// schedule_at(); the flag only lets the Simulation tell probes apart
+  /// from plain events. `skipped` probes of the same loop that were
+  /// charged instead of executed count toward total_scheduled() and
+  /// consume sequence numbers first, so the tag counter reads as if each
+  /// had been scheduled in turn.
+  EventId schedule_probe(SimTime when, SimTime birth_time,
+                         std::uint64_t skipped, EventFn&& fn);
+
   /// Mints a birth tag without enqueueing locally — the caller is about
   /// to hand the event to another shard's queue. Counts toward
   /// total_scheduled() on this side, exactly like the single-queue
@@ -116,6 +130,11 @@ class EventQueue {
     return heap_.front().time;
   }
 
+  /// Timestamp of the earliest live event that is not a pure probe, or
+  /// kNever. Visits only probes, tombstones and their children — a few
+  /// entries, since each waiting poll loop has one probe queued.
+  SimTime next_plain_time() const;
+
   /// Full ordering key of the next live event (for cross-shard merges).
   /// Requires !empty().
   Key next_key() const;
@@ -129,6 +148,7 @@ class EventQueue {
     SimTime birth_time;
     EventId id;
     EventFn fn;
+    bool probe = false;  // scheduled by schedule_probe()
   };
   Popped pop() {
     drop_cancelled();
@@ -160,7 +180,9 @@ class EventQueue {
     SimTime birth_time;
     EventId tag;         // birth tag, doubles as the event id
     std::uint32_t slot;  // index into slots_
+    bool probe;          // pure probe (schedule_probe); fills padding
   };
+  static_assert(sizeof(Entry) == 32, "heap entries stay 32 bytes");
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -171,15 +193,18 @@ class EventQueue {
 
   /// Consumes one sequence number — shared when active, local
   /// otherwise — and brands it with the owner tag.
-  EventId make_tag() {
+  /// `skip` further numbers are consumed first (charged probes).
+  EventId make_tag(std::uint64_t skip = 0) {
     if (shared_seq_ != nullptr && shared_active_) {
+      *shared_seq_ += skip;
       return kSharedSeqBit | ((*shared_seq_)++ << 8) | owner_tag_;
     }
+    next_seq_ += skip;
     return (next_seq_++ << 8) | owner_tag_;
   }
 
   EventId push_entry(SimTime when, SimTime birth_time, EventId tag,
-                     EventFn fn);
+                     EventFn fn, bool probe = false);
 
   /// Discards cancelled entries sitting at the top of the heap. Inline
   /// fast path: with no tombstones at all (the common steady state) or a

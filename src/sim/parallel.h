@@ -38,7 +38,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -167,8 +166,6 @@ class ShardGroup {
     const std::function<bool()>* cond = nullptr;
     Simulation::WindowResult result;
   };
-
-  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
   /// Moves every queued cross-shard event into its destination shard,
   /// in global birth-key order. Coordinator only, between rounds.

@@ -10,11 +10,21 @@
 // the clock across synchronization fences with fence_now(); events
 // crossing shards enter through schedule_admitted() carrying the
 // sender's birth stamp.
+//
+// Poll loops (PollUntil in coro.h) schedule their re-probes through
+// schedule_reprobe(). While every waiting loop has failed a probe since
+// the last plain event, nothing can change what the next probes read,
+// so a loop jumps to its first probe at or after the next plain event
+// (or the run's deadline) and the probes in between are charged — to
+// total_scheduled(), events_executed() and the tag counter — instead of
+// executed. Every event key and count stays what stepping would give;
+// DESIGN.md ("Pure probes") has the argument.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <vector>
 
 #include "common/units.h"
 #include "sim/event_queue.h"
@@ -42,12 +52,46 @@ class Simulation {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// A waiting poll loop's registration; PollUntil owns one.
+  struct PollLoop {
+    SimDuration interval = 0;
+    std::uint64_t settled_epoch = 0;  // epoch of its last failed probe
+    bool waiting = false;
+  };
+
+  /// Schedules the next probe of `loop` after a failed probe at now().
+  /// Probes that provably fail are charged instead of executed; returns
+  /// how many were charged (0 outside run(), run_until() and
+  /// run_until_condition*(): sharded windows and step_one() never skip).
+  /// Inline: outside those calls this is the every-probe path.
+  std::uint64_t schedule_reprobe(PollLoop& loop, EventFn&& fn) {
+    const std::uint64_t skipped =
+        skip_horizon_ == kNoSkip && loop.waiting ? 0 : settle(loop);
+    const SimTime when =
+        now_ + static_cast<SimTime>(skipped + 1) * loop.interval;
+    queue_.schedule_probe(when, when - loop.interval, skipped, std::move(fn));
+    events_executed_ += skipped;
+    probes_skipped_ += skipped;
+    return skipped;
+  }
+
+  /// `loop`'s predicate held; it no longer waits.
+  void poll_done(PollLoop& loop);
+
+  /// Re-probes run as events, and re-probes charged by schedule_reprobe()
+  /// instead. Host-only: not part of any fingerprint (both are already in
+  /// events_executed()).
+  std::uint64_t probes_executed() const { return probes_executed_; }
+  std::uint64_t probes_skipped() const { return probes_skipped_; }
+
   /// Runs events until the queue drains or `run_stop()` is called.
   /// Returns the number of events executed.
   std::uint64_t run();
 
   /// Runs events with timestamps <= `deadline` (events exactly at the
-  /// deadline run). The clock is advanced to the deadline afterwards.
+  /// deadline run). The clock is advanced to the deadline afterwards
+  /// unless the run stopped early (run_stop() or the event limit) with
+  /// such events still queued.
   std::uint64_t run_until(SimTime deadline);
 
   /// Runs until `predicate()` turns true (checked after every event) or
@@ -153,6 +197,37 @@ class Simulation {
  private:
   bool step();
 
+  /// Arms probe skipping for one run call with the given deadline
+  /// (kNever: none) and counts the driver code before it as a plain
+  /// event; disarms on exit.
+  class RunScope {
+   public:
+    RunScope(Simulation& sim, SimTime deadline) : sim_(sim) {
+      sim_.skip_horizon_ = deadline;
+      sim_.new_epoch();
+    }
+    ~RunScope() { sim_.skip_horizon_ = kNoSkip; }
+
+   private:
+    Simulation& sim_;
+  };
+
+  /// A plain event ran (or driver code did): every loop is unsettled.
+  void new_epoch() {
+    ++epoch_;
+    settled_ = 0;
+  }
+
+  /// schedule_reprobe's bookkeeping: registers `loop`, marks it settled
+  /// when skipping is armed, and returns the probes it may charge.
+  std::uint64_t settle(PollLoop& loop);
+
+  /// Probes `loop` may charge after a failed probe at now(), given that
+  /// every waiting loop has settled.
+  std::uint64_t probes_to_skip(SimDuration interval);
+
+  static constexpr SimTime kNoSkip = std::numeric_limits<SimTime>::min();
+
   EventQueue queue_;
   SimTime now_ = 0;
   EventQueue::Key current_key_{};
@@ -160,6 +235,15 @@ class Simulation {
   std::uint64_t events_executed_ = 0;
   std::uint64_t event_limit_ = std::numeric_limits<std::uint64_t>::max();
   bool event_limit_hit_ = false;
+
+  // Poll-loop fast-forward state (schedule_reprobe).
+  std::vector<PollLoop*> loops_;    // waiting loops
+  std::uint64_t epoch_ = 1;         // bumped by every plain event
+  std::size_t settled_ = 0;         // loops that failed a probe this epoch
+  SimTime settled_at_ = 0;          // when the last of them settled
+  SimTime skip_horizon_ = kNoSkip;  // current run's deadline
+  std::uint64_t probes_executed_ = 0;
+  std::uint64_t probes_skipped_ = 0;
 };
 
 }  // namespace pg::sim
