@@ -1,9 +1,9 @@
 // Tracked simulator-performance baseline.
 //
 // Measures the host-time cost of the three simulation hot paths (event
-// engine, PTX-lite interpreter, sparse memory), the end-to-end
-// wall-clock of the two heaviest figure sweeps, a host-polled bulk
-// ping-pong with its executed vs fast-forwarded poll probes, and the
+// engine, PTX-lite interpreter, sparse memory), the payload fill, the
+// end-to-end wall-clock of the two heaviest figure sweeps, a host-polled
+// bulk ping-pong with its executed vs fast-forwarded poll probes, and the
 // parallel-engine scaling matrix (ring workload, nodes x threads, every
 // cell hard-gated to the threads=1 fingerprint), and writes the numbers
 // to a JSON file (default BENCH_simcore.json) so CI can archive them and
@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "gpu/assembler.h"
 #include "gpu/device.h"
 #include "mem/sparse_memory.h"
@@ -28,6 +29,7 @@
 #include "pcie/fabric.h"
 #include "putget/extoll_experiments.h"
 #include "putget/ring_workload.h"
+#include "putget/setup.h"
 #include "sim/simulation.h"
 #include "sys/testbed.h"
 
@@ -125,6 +127,62 @@ double bench_memory_mb_per_s(std::uint64_t* bytes_out) {
   if (sink == 0xdeadbeef) std::fprintf(stderr, "sink\n");
   *bytes_out = 2 * kBytes;
   return static_cast<double>(2 * kBytes) / (1024.0 * 1024.0) / secs;
+}
+
+/// Payload fill: one 64 MiB putget::fill_pattern into fresh GPU DRAM
+/// pages, the set-up cost of every large transfer. The filled bytes are
+/// checked against the scalar next_byte() stream through an FNV-1a hash,
+/// so neither side holds a payload-sized copy.
+struct PayloadFill {
+  double ns_per_byte = 0.0;
+  std::uint64_t bytes = 0;
+  std::uint64_t fnv1a = 0;
+  const char* isa = Rng::fill_isa();
+};
+
+std::uint64_t fnv1a_step(std::uint64_t h, std::uint8_t byte) {
+  return (h ^ byte) * 0x100000001b3ull;
+}
+
+PayloadFill bench_payload_fill() {
+  constexpr std::uint64_t kBytes = 64 * MiB;
+  constexpr std::uint64_t kSeed = 101;
+  constexpr std::uint64_t kPage = mem::SparseMemory::kPageSize;
+  PayloadFill out;
+  out.bytes = kBytes;
+  sys::Cluster cluster(sys::extoll_testbed());
+  sys::Node& node = cluster.node(0);
+  const mem::Addr addr = mem::AddressMap::kGpuDramBase + 1 * GiB;
+  // A one-group fill elsewhere first, so the one-off build of the jump
+  // matrix is not timed.
+  putget::fill_pattern(node, addr + 2 * kBytes, Rng::kLanes * kPage, kSeed);
+  const auto start = Clock::now();
+  putget::fill_pattern(node, addr, kBytes, kSeed);
+  out.ns_per_byte =
+      std::chrono::duration<double, std::nano>(Clock::now() - start).count() /
+      static_cast<double>(kBytes);
+
+  std::uint64_t want = 0xcbf29ce484222325ull;
+  Rng ref(kSeed);
+  for (std::uint64_t i = 0; i < kBytes; ++i) {
+    want = fnv1a_step(want, ref.next_byte());
+  }
+  out.fnv1a = 0xcbf29ce484222325ull;
+  for (std::uint64_t off = 0; off < kBytes; off += kPage) {
+    const std::uint8_t* page = node.memory().span_in_page(addr + off, kPage);
+    for (std::uint64_t i = 0; i < kPage; ++i) {
+      out.fnv1a = fnv1a_step(out.fnv1a, page ? page[i] : 0);
+    }
+  }
+  if (out.fnv1a != want) {
+    std::fprintf(stderr,
+                 "payload_fill FAILED: fnv1a %016llx, scalar reference "
+                 "%016llx\n",
+                 static_cast<unsigned long long>(out.fnv1a),
+                 static_cast<unsigned long long>(want));
+    std::exit(1);
+  }
+  return out;
 }
 
 /// End-to-end: the Fig. 1a latency sweep (all four transfer modes).
@@ -395,6 +453,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--list") == 0) {
       std::printf("simcore-perf\n");
       for (const char* s : {"event queue", "interpreter", "sparse memory",
+                            "payload fill (64 MiB, checked vs next_byte())",
                             "fig1 latency sweep", "fig2 msgrate sweep",
                             "host poll (16 MiB host-controlled ping-pong)",
                             "pdes scaling matrix",
@@ -412,6 +471,7 @@ int main(int argc, char** argv) {
   const double event_ns = bench_event_queue_ns(&events);
   const double instr_per_s = bench_interpreter_instr_per_s(&instrs);
   const double mem_mb_per_s = bench_memory_mb_per_s(&bytes);
+  const PayloadFill fill = bench_payload_fill();
   const double fig1_ms = bench_fig1_wall_ms();
   const double fig2_ms = bench_fig2_wall_ms();
   const HostPollRun host_poll = bench_host_poll();
@@ -426,6 +486,10 @@ int main(int argc, char** argv) {
               instr_per_s / 1e6, static_cast<unsigned long long>(instrs));
   std::printf("  sparse memory      %10.1f MB/s       (%llu bytes)\n",
               mem_mb_per_s, static_cast<unsigned long long>(bytes));
+  std::printf("  payload fill       %10.3f ns/B       (%llu bytes, %s, "
+              "matches next_byte())\n",
+              fill.ns_per_byte, static_cast<unsigned long long>(fill.bytes),
+              fill.isa);
   std::printf("  fig1 latency sweep %10.1f ms wall\n", fig1_ms);
   std::printf("  fig2 msgrate sweep %10.1f ms wall\n", fig2_ms);
   std::printf("  host poll 16 MiB   %10.1f ms wall    (%llu events, probes "
@@ -456,6 +520,13 @@ int main(int argc, char** argv) {
                  "\"fig1_extoll_latency_wall_ms\":%.3f,"
                  "\"fig2_extoll_msgrate_wall_ms\":%.3f},\n",
                  event_ns, instr_per_s, mem_mb_per_s, fig1_ms, fig2_ms);
+    std::fprintf(f,
+                 " \"payload_fill\":{\"bytes\":%llu,\"ns_per_byte\":%.3f,"
+                 "\"isa\":\"%s\",\"fnv1a\":\"%016llx\","
+                 "\"matches_next_byte\":true},\n",
+                 static_cast<unsigned long long>(fill.bytes),
+                 fill.ns_per_byte, fill.isa,
+                 static_cast<unsigned long long>(fill.fnv1a));
     std::fprintf(f,
                  " \"host_poll\":{\"workload\":\"extoll/hostControlled "
                  "pingpong 16 MiB x1\",\"wall_ms\":%.3f,"

@@ -3,6 +3,10 @@
 // The simulator must be reproducible: all stochastic behaviour (payload
 // fuzzing in tests, randomized arrival jitter if enabled) draws from an
 // explicitly seeded Rng so a failing run can be replayed exactly.
+//
+// Payload fill (fill_pages) produces the same next_byte() stream eight
+// pages at a time: the state transition is linear over GF(2), so lane l
+// starts from the state jumped l pages ahead by one fixed bit matrix.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +16,11 @@ namespace pg {
 
 class Rng {
  public:
+  /// Bytes per page of fill_pages output (the simulator's memory page).
+  static constexpr std::size_t kPageBytes = 4096;
+  /// Pages fill_pages generates side by side, one vector lane each.
+  static constexpr std::size_t kLanes = 8;
+
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull) { reseed(seed); }
 
   void reseed(std::uint64_t seed) {
@@ -61,6 +70,22 @@ class Rng {
     for (int k = 0; k < 4; ++k) state_[k] = s[k];
   }
 
+  /// Writes the next count * kPageBytes bytes of the next_byte() stream,
+  /// pages[i] getting the i-th kPageBytes of them: the same bytes and end
+  /// state as fill_bytes over one contiguous buffer. Each group of kLanes
+  /// pages runs as kLanes vector lanes (AVX-512 or AVX2, picked once per
+  /// process); a smaller rest, or every page on a host with neither, uses
+  /// fill_bytes page by page.
+  void fill_pages(std::uint8_t* const* pages, std::size_t count);
+
+  /// The lane variant fill_pages runs on this host: "avx512f", "avx2" or
+  /// "scalar" (fill_bytes only).
+  static const char* fill_isa();
+
+  /// Advances the state by kPageBytes draws, as that many next_u64()
+  /// calls would, in 64 table-driven four-word XORs.
+  void jump_page() { jump_page(state_); }
+
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
@@ -78,6 +103,8 @@ class Rng {
     s[3] = rotl(s[3], 45);
     return result;
   }
+
+  static void jump_page(std::uint64_t (&s)[4]);
 
   std::uint64_t state_[4] = {};
 };

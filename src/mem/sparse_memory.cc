@@ -58,8 +58,8 @@ SparseMemory::Page& SparseMemory::get_or_create_page(std::uint64_t index) {
   if (e.index == index && e.page != nullptr) return *e.page;
   auto it = pages_.find(index);
   if (it == pages_.end()) {
+    // make_unique value-initializes the array: the page starts zeroed.
     it = pages_.emplace(index, std::make_unique<Page>()).first;
-    it->second->fill(0);
   }
   e = CacheEntry{index, it->second.get()};
   return *it->second;

@@ -16,16 +16,31 @@ constexpr std::uint64_t kPage = mem::SparseMemory::kPageSize;
 // beyond its own backing pages.
 void fill_pattern(sys::Node& node, mem::Addr addr, std::uint64_t len,
                   std::uint64_t seed) {
+  static_assert(Rng::kPageBytes == kPage);
   assert(node.memory().backed(addr, len) && "fill_pattern out of bounds");
+  auto& memory = node.memory();
   Rng rng(seed);
-  while (len > 0) {
-    const std::uint64_t chunk = std::min(len, kPage - addr % kPage);
-    std::uint8_t* out = node.memory().span_in_page_mut(addr, chunk);
-    assert(out != nullptr);
-    rng.fill_bytes(out, chunk);
-    addr += chunk;
-    len -= chunk;
+  // Scalar head up to the first page boundary.
+  const std::uint64_t head = std::min(len, (kPage - addr % kPage) % kPage);
+  if (head > 0) {
+    rng.fill_bytes(memory.span_in_page_mut(addr, head), head);
+    addr += head;
+    len -= head;
   }
+  // Whole pages, one group of up to Rng::kLanes at a time; the lanes
+  // write straight into the backing pages.
+  while (len >= kPage) {
+    std::uint8_t* pages[Rng::kLanes];
+    std::size_t n = 0;
+    for (; n < Rng::kLanes && len >= kPage; ++n) {
+      pages[n] = memory.span_in_page_mut(addr, kPage);
+      assert(pages[n] != nullptr);
+      addr += kPage;
+      len -= kPage;
+    }
+    rng.fill_pages(pages, n);
+  }
+  if (len > 0) rng.fill_bytes(memory.span_in_page_mut(addr, len), len);
 }
 
 bool ranges_equal(sys::Node& a, mem::Addr addr_a, sys::Node& b,

@@ -1,7 +1,9 @@
 // Unit tests for the common substrate: units, status, bitops, ring, rng.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.h"
@@ -177,6 +179,54 @@ TEST(Rng, FillBytesSplitAcrossCallsContinuesStream) {
   split.fill_bytes(a.data() + 1234, 5000 - 1234);
   whole.fill_bytes(b.data(), b.size());
   EXPECT_EQ(a, b);
+}
+
+TEST(Rng, PageJumpMatchesStepping) {
+  for (const std::uint64_t seed : {0ull, 1ull, 42ull, 0xDEADBEEFull}) {
+    // From the seeded state and from one a few draws further on.
+    for (const int warmup : {0, 3}) {
+      Rng jumped(seed), stepped(seed);
+      for (int i = 0; i < warmup; ++i) {
+        jumped.next_u64();
+        stepped.next_u64();
+      }
+      jumped.jump_page();
+      for (std::size_t i = 0; i < Rng::kPageBytes; ++i) stepped.next_u64();
+      for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(jumped.next_u64(), stepped.next_u64())
+            << "seed=" << seed << " warmup=" << warmup << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(Rng, FillPagesMatchesFillBytes) {
+  constexpr std::size_t kPageBytes = Rng::kPageBytes;
+  // Separately allocated pages, filled in calls of (first, second) pages:
+  // the second call must continue the stream where the first stopped.
+  const std::pair<std::size_t, std::size_t> calls[] = {
+      {0, 0}, {1, 0}, {7, 0}, {8, 0}, {9, 0}, {16, 0}, {17, 0},
+      {8, 9}, {3, 16}};
+  for (const auto& [first, second] : calls) {
+    const std::size_t count = first + second;
+    std::vector<std::vector<std::uint8_t>> storage(
+        count, std::vector<std::uint8_t>(kPageBytes));
+    std::vector<std::uint8_t*> pages;
+    for (auto& page : storage) pages.push_back(page.data());
+    Rng lanes(0xC0FFEE + count), ref(0xC0FFEE + count);
+    lanes.fill_pages(pages.data(), first);
+    lanes.fill_pages(pages.data() + first, second);
+    std::vector<std::uint8_t> want(count * kPageBytes);
+    ref.fill_bytes(want.data(), want.size());
+    for (std::size_t p = 0; p < count; ++p) {
+      ASSERT_TRUE(std::equal(storage[p].begin(), storage[p].end(),
+                             want.begin() + p * kPageBytes))
+          << "first=" << first << " second=" << second << " page=" << p;
+    }
+    // Both generators end in the same state.
+    EXPECT_EQ(lanes.next_u64(), ref.next_u64())
+        << "first=" << first << " second=" << second;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -96,6 +97,40 @@ TEST(PayloadFill, MatchesByteAtATimeReference) {
     EXPECT_EQ(got.front(), 0u);  // nothing written before the range
     EXPECT_EQ(got.back(), 0u);   // nor after it
     EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin() + 1));
+  }
+}
+
+TEST(PayloadFill, LanePathMatchesReference) {
+  sys::Cluster cluster(sys::ib_testbed());
+  sys::Node& n0 = cluster.node(0);
+  // Two full groups of Rng::kLanes pages, then a partial group of one,
+  // behind a head of 0, 3096 or 1 bytes and ahead of a 0- or 123-byte
+  // tail. Each case gets its own untouched window, 64 pages apart.
+  const std::uint64_t pages = 2 * Rng::kLanes + 1;
+  std::uint64_t window = 0;
+  for (const mem::Addr base :
+       {mem::AddressMap::kGpuDramBase, mem::AddressMap::kHostDramBase}) {
+    for (const std::uint64_t offset : {0ull, 1000ull, 4095ull}) {
+      for (const std::uint64_t tail : {0ull, 123ull}) {
+        const std::uint64_t head = (kPage - offset) % kPage;
+        const std::uint64_t len = head + pages * kPage + tail;
+        const mem::Addr addr =
+            base + kUntouched + 64 * kPage * ++window + offset;
+        const std::uint64_t seed = 1000 + window;
+        fill_pattern(n0, addr, len, seed);
+        std::vector<std::uint8_t> want(len);
+        Rng rng(seed);
+        for (auto& byte : want) byte = rng.next_byte();
+        std::vector<std::uint8_t> got(len + 2);
+        n0.memory().read(addr - 1, got);
+        const std::string where = "offset=" + std::to_string(offset) +
+                                  " tail=" + std::to_string(tail);
+        EXPECT_EQ(got.front(), 0u) << where;  // nothing written before
+        EXPECT_EQ(got.back(), 0u) << where;   // nor after
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin() + 1))
+            << where;
+      }
+    }
   }
 }
 
