@@ -3,7 +3,8 @@
 // Measures the host-time cost of the three simulation hot paths (event
 // engine, PTX-lite interpreter, sparse memory), the payload fill, the
 // end-to-end wall-clock of the two heaviest figure sweeps, a host-polled
-// bulk ping-pong with its executed vs fast-forwarded poll probes, and the
+// bulk ping-pong with its executed vs fast-forwarded poll probes, the
+// payload datapath of a bulk device-driven ping-pong, and the
 // parallel-engine scaling matrix (ring workload, nodes x threads, every
 // cell hard-gated to the threads=1 fingerprint), and writes the numbers
 // to a JSON file (default BENCH_simcore.json) so CI can archive them and
@@ -249,6 +250,48 @@ HostPollRun bench_host_poll() {
   return out;
 }
 
+/// Payload datapath: one 16 MiB EXTOLL dev2dev-direct ping-pong, in
+/// which every payload byte is DMA-read, carried by the wire frames and
+/// written at the target, in both directions. Reported as host ns per
+/// payload byte moved; the whole call is timed, so cluster build and
+/// pattern fill are a fixed part of it. The event count is fixed by the
+/// model: a different count means the datapath changed what it
+/// simulates, not only how fast, and fails the bench.
+constexpr std::uint32_t kPayloadPathBytes = 16u << 20;
+constexpr std::uint64_t kPayloadPathEvents = 93209;
+
+struct PayloadPathRun {
+  double wall_ms = 0.0;
+  double ns_per_byte = 0.0;
+  std::uint64_t bytes = 0;
+  std::uint64_t events = 0;
+};
+
+PayloadPathRun bench_payload_path() {
+  const auto start = Clock::now();
+  const putget::PingPongResult r = putget::run_extoll_pingpong(
+      sys::extoll_testbed(), putget::TransferMode::kGpuDirect,
+      kPayloadPathBytes, 1);
+  PayloadPathRun out;
+  out.wall_ms = ms_since(start);
+  out.bytes = 2ull * kPayloadPathBytes * r.iterations;
+  out.ns_per_byte = out.wall_ms * 1e6 / static_cast<double>(out.bytes);
+  out.events = r.events_scheduled;
+  if (!r.payload_ok) {
+    std::fprintf(stderr, "payload_path workload FAILED\n");
+    std::exit(1);
+  }
+  if (out.events != kPayloadPathEvents) {
+    std::fprintf(stderr,
+                 "payload_path FAILED: %llu events scheduled, the model "
+                 "schedules %llu\n",
+                 static_cast<unsigned long long>(out.events),
+                 static_cast<unsigned long long>(kPayloadPathEvents));
+    std::exit(1);
+  }
+  return out;
+}
+
 // --- Parallel-engine scaling matrix --------------------------------
 
 // One cell of the PDES matrix: the ring halo-exchange workload at a
@@ -456,6 +499,8 @@ int main(int argc, char** argv) {
                             "payload fill (64 MiB, checked vs next_byte())",
                             "fig1 latency sweep", "fig2 msgrate sweep",
                             "host poll (16 MiB host-controlled ping-pong)",
+                            "payload path (16 MiB dev2dev-direct ping-pong, "
+                            "event-count gated)",
                             "pdes scaling matrix",
                             "traced pdes scaling (byte-parity gated)"}) {
         std::printf("  %s\n", s);
@@ -476,6 +521,7 @@ int main(int argc, char** argv) {
   const double fig2_ms = bench_fig2_wall_ms();
   const HostPollRun host_poll = bench_host_poll();
   const putget::PingPongResult& hp = host_poll.result;
+  const PayloadPathRun path = bench_payload_path();
   const std::vector<PdesCell> pdes = bench_pdes_matrix();
   const std::vector<TracedCell> traced = bench_pdes_traced();
 
@@ -498,6 +544,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(hp.events_scheduled),
               static_cast<unsigned long long>(hp.probes_executed),
               static_cast<unsigned long long>(hp.probes_skipped));
+  std::printf("  payload path       %10.3f ns/B       (%llu bytes, %.1f ms "
+              "wall, %llu events)\n",
+              path.ns_per_byte, static_cast<unsigned long long>(path.bytes),
+              path.wall_ms, static_cast<unsigned long long>(path.events));
   std::printf("  pdes ring scaling (cells=%u iters=%u, checksum-gated)\n",
               kPdesCells, kPdesIters);
   for (const PdesCell& c : pdes) {
@@ -536,6 +586,13 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(hp.events_scheduled),
                  static_cast<unsigned long long>(hp.probes_executed),
                  static_cast<unsigned long long>(hp.probes_skipped));
+    std::fprintf(f,
+                 " \"payload_path\":{\"workload\":\"extoll/dev2dev-direct "
+                 "pingpong 16 MiB x1\",\"bytes\":%llu,\"ns_per_byte\":%.3f,"
+                 "\"wall_ms\":%.3f,\"events_scheduled\":%llu},\n",
+                 static_cast<unsigned long long>(path.bytes),
+                 path.ns_per_byte, path.wall_ms,
+                 static_cast<unsigned long long>(path.events));
     std::fprintf(f,
                  " \"pdes\":{\"workload\":\"ext_multinode_ring/extoll\","
                  "\"cells_per_node\":%u,\"iterations\":%u,\"reps\":%d,"

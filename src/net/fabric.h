@@ -163,7 +163,7 @@ class Switch {
     int side = 0;
   };
 
-  void forward(int in_port, std::vector<std::uint8_t> bytes, FrameMeta meta);
+  void forward(int in_port, Frame frame, FrameMeta meta);
 
   std::string label_;
   int vertex_ = 0;

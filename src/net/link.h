@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/bitops.h"
+#include "common/payload.h"
 #include "common/units.h"
 #include "obs/flow.h"
 #include "obs/metrics.h"
@@ -54,6 +55,18 @@ struct FrameMeta {
   bool flow_attached = false;
 };
 
+/// One frame on the wire: the encoded header bytes plus a body that is
+/// a window onto the payload the sender's DMA engine read. Relays and
+/// deliveries pass the body by reference; only the header is ever
+/// encoded or decoded. The wire size is the header plus the body, the
+/// same bytes a contiguous encoding would occupy.
+struct Frame {
+  std::vector<std::uint8_t> header;
+  Payload body;
+
+  std::uint64_t size() const { return header.size() + body.size(); }
+};
+
 /// Per-direction transmit statistics, maintained passively (no events,
 /// no observability sinks required). `queue_depth` samples, at each
 /// send, how many earlier frames were still serializing on this
@@ -71,7 +84,7 @@ struct LinkDirStats {
 
 class NetworkLink {
  public:
-  using Handler = std::function<void(std::vector<std::uint8_t>, FrameMeta)>;
+  using Handler = std::function<void(Frame, FrameMeta)>;
 
   NetworkLink(sim::Simulation& sim, NetConfig cfg) : cfg_(cfg) {
     sides_[0].sim = &sim;
@@ -113,19 +126,21 @@ class NetworkLink {
   /// inside it, so the wire timing is byte-identical either way.
   /// `meta` likewise rides in the event capture: the receiving handler
   /// sees it with `hops` incremented by this traversal.
-  void send(int side, std::vector<std::uint8_t> frame, obs::FlowId flow = 0,
+  void send(int side, Frame frame, obs::FlowId flow = 0,
             FrameMeta meta = {}) {
+    static_assert(sim::InlineFn::stores_inline<Delivery>(),
+                  "a frame delivery must not heap-allocate per frame");
     Side& sender = sides_[side];
     Direction& dir = sender.tx;
     sim::Simulation& ssim = *sender.sim;
+    const std::uint64_t frame_bytes = frame.size();
     const std::uint64_t packets =
-        std::max<std::uint64_t>(1, div_ceil(frame.size(), cfg_.mtu));
-    const std::uint64_t wire_bytes =
-        frame.size() + packets * cfg_.header_bytes;
+        std::max<std::uint64_t>(1, div_ceil(frame_bytes, cfg_.mtu));
+    const std::uint64_t wire_bytes = frame_bytes + packets * cfg_.header_bytes;
     const SimTime now = ssim.now();
     const SimTime start = std::max(now, dir.busy_until);
     dir.busy_until = start + cfg_.bandwidth.transfer_time(wire_bytes);
-    dir.bytes += frame.size();
+    dir.bytes += frame_bytes;
     ++dir.frames;
     // Contention + occupancy accounting (passive; no events scheduled).
     if (start > now) {
@@ -142,12 +157,12 @@ class NetworkLink {
     dir.stats.bytes = dir.bytes;
     if (meta.hops > 0) {
       ++dir.stats.forwarded_frames;
-      dir.stats.forwarded_bytes += frame.size();
+      dir.stats.forwarded_bytes += frame_bytes;
     }
     if (obs::enabled() && !sender.label.empty()) {
       obs::span(sender.label.c_str(), "net", meta.hops > 0 ? "fwd" : "tx",
                 start, dir.busy_until,
-                {{"bytes", frame.size()},
+                {{"bytes", frame_bytes},
                  {"dst", meta.dst_node},
                  {"hop", meta.hops}});
     }
@@ -161,11 +176,7 @@ class NetworkLink {
     const int other = 1 - side;
     const SimTime deliver_at = dir.busy_until + cfg_.latency;
     ++meta.hops;
-    auto deliver = [this, other, meta, frame = std::move(frame)]() mutable {
-      if (sides_[other].handler) {
-        sides_[other].handler(std::move(frame), meta);
-      }
-    };
+    Delivery deliver{this, std::move(frame), meta, other};
     if (group_ == nullptr || shard_of_[side] == shard_of_[other]) {
       sides_[other].sim->schedule_at(deliver_at, std::move(deliver));
     } else {
@@ -192,6 +203,20 @@ class NetworkLink {
   sim::Simulation& endpoint_sim(int side) const { return *sides_[side].sim; }
 
  private:
+  /// A frame's arrival at the far side's handler.
+  struct Delivery {
+    NetworkLink* link;
+    Frame frame;
+    FrameMeta meta;
+    int side;  // the receiving side
+
+    void operator()() {
+      if (link->sides_[side].handler) {
+        link->sides_[side].handler(std::move(frame), meta);
+      }
+    }
+  };
+
   struct Direction {
     SimTime busy_until = 0;
     std::uint64_t bytes = 0;

@@ -16,38 +16,35 @@ using mem::AddressMap;
 // ---------------------------------------------------------------------------
 // Frame codec.
 
-std::vector<std::uint8_t> ExtollNic::Frame::encode() const {
-  std::vector<std::uint8_t> bytes(32 + payload.size());
-  bytes[0] = static_cast<std::uint8_t>(kind);
-  bytes[1] = port;
-  bytes[2] = static_cast<std::uint8_t>((last ? 1 : 0) |
-                                       (notify_completer ? 2 : 0));
-  bytes[3] = 0;
-  std::memcpy(&bytes[4], &total_size, 4);
-  std::memcpy(&bytes[8], &offset, 8);
-  std::memcpy(&bytes[16], &src_nla, 8);
-  std::memcpy(&bytes[24], &dst_nla, 8);
-  if (!payload.empty()) {
-    std::memcpy(bytes.data() + 32, payload.data(), payload.size());
-  }
-  return bytes;
+net::Frame ExtollNic::Frame::encode() const {
+  net::Frame wire{std::vector<std::uint8_t>(32), payload};
+  std::uint8_t* h = wire.header.data();
+  h[0] = static_cast<std::uint8_t>(kind);
+  h[1] = port;
+  h[2] = static_cast<std::uint8_t>((last ? 1 : 0) | (notify_completer ? 2 : 0));
+  h[3] = 0;
+  std::memcpy(h + 4, &total_size, 4);
+  std::memcpy(h + 8, &offset, 8);
+  std::memcpy(h + 16, &src_nla, 8);
+  std::memcpy(h + 24, &dst_nla, 8);
+  return wire;
 }
 
-Result<ExtollNic::Frame> ExtollNic::Frame::decode(
-    const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < 32) {
+Result<ExtollNic::Frame> ExtollNic::Frame::decode(const net::Frame& wire) {
+  if (wire.header.size() < 32) {
     return invalid_argument("EXTOLL frame shorter than header");
   }
+  const std::uint8_t* h = wire.header.data();
   Frame f;
-  f.kind = static_cast<Kind>(bytes[0]);
-  f.port = bytes[1];
-  f.last = (bytes[2] & 1) != 0;
-  f.notify_completer = (bytes[2] & 2) != 0;
-  std::memcpy(&f.total_size, &bytes[4], 4);
-  std::memcpy(&f.offset, &bytes[8], 8);
-  std::memcpy(&f.src_nla, &bytes[16], 8);
-  std::memcpy(&f.dst_nla, &bytes[24], 8);
-  f.payload.assign(bytes.begin() + 32, bytes.end());
+  f.kind = static_cast<Kind>(h[0]);
+  f.port = h[1];
+  f.last = (h[2] & 1) != 0;
+  f.notify_completer = (h[2] & 2) != 0;
+  std::memcpy(&f.total_size, h + 4, 4);
+  std::memcpy(&f.offset, h + 8, 8);
+  std::memcpy(&f.src_nla, h + 16, 8);
+  std::memcpy(&f.dst_nla, h + 24, 8);
+  f.payload = wire.body;
   return f;
 }
 
@@ -87,9 +84,8 @@ void ExtollNic::connect(net::NetworkLink* link, int side) {
     link_ = link;
     link_side_ = side;
   }
-  link->attach(side, [this, link, side](std::vector<std::uint8_t> bytes,
-                                        net::FrameMeta meta) {
-    on_frame(link, side, std::move(bytes), meta);
+  link->attach(side, [this, link, side](net::Frame wire, net::FrameMeta meta) {
+    on_frame(link, side, std::move(wire), meta);
   });
 }
 
@@ -275,7 +271,7 @@ void ExtollNic::execute_put(const WorkRequest& wr, Addr src_addr) {
     const bool last = job->issued == job->wr.size;
     dma_->read(
         job->src + offset, seg,
-        [this, job, seg, offset, last](std::vector<std::uint8_t> data) {
+        [this, job, seg, offset, last](Payload data) {
           // Overlap: pull the next segment while this one drains
           // through the datapath.
           if (!last) {
@@ -331,10 +327,10 @@ void ExtollNic::originate(const Route& route, const Frame& f,
   net::FrameMeta meta;
   if (dst_node >= 0) meta.dst_node = static_cast<std::int16_t>(dst_node);
   if (node_id_ >= 0) meta.src_node = static_cast<std::int16_t>(node_id_);
-  std::vector<std::uint8_t> bytes = f.encode();
+  net::Frame wire = f.encode();
   ++totals_.frames_originated;
-  totals_.bytes_originated += bytes.size();
-  route.link->send(route.side, std::move(bytes), flow, meta);
+  totals_.bytes_originated += wire.size();
+  route.link->send(route.side, std::move(wire), flow, meta);
 }
 
 void ExtollNic::requester_finished(const WorkRequest& wr) {
@@ -366,8 +362,7 @@ void ExtollNic::requester_finished(const WorkRequest& wr) {
 // ---------------------------------------------------------------------------
 // Completer / responder.
 
-void ExtollNic::on_frame(net::NetworkLink* link, int side,
-                         std::vector<std::uint8_t> bytes,
+void ExtollNic::on_frame(net::NetworkLink* link, int side, net::Frame wire,
                          net::FrameMeta meta) {
   if (meta.dst_node >= 0 && node_id_ >= 0 && meta.dst_node != node_id_) {
     // NIC-as-router relay: the frame is for another terminal. Forward
@@ -380,13 +375,13 @@ void ExtollNic::on_frame(net::NetworkLink* link, int side,
     const Route out = route_for(meta.dst_node);
     assert(out.link && "relay without an egress link");
     ++totals_.frames_forwarded;
-    totals_.bytes_forwarded += bytes.size();
-    out.link->send(out.side, std::move(bytes), flow, meta);
+    totals_.bytes_forwarded += wire.size();
+    out.link->send(out.side, std::move(wire), flow, meta);
     return;
   }
   ++totals_.frames_delivered;
-  totals_.bytes_delivered += bytes.size();
-  auto frame = Frame::decode(bytes);
+  totals_.bytes_delivered += wire.size();
+  auto frame = Frame::decode(wire);
   if (!frame.is_ok()) {
     ++protocol_violations_;
     PG_ERROR("extoll", "%s: undecodable frame", name_.c_str());
@@ -433,15 +428,11 @@ void ExtollNic::handle_put_segment(const Frame& f, obs::FlowId flow) {
   const SimTime start = std::max(sim_.now(), completer_busy_until_);
   completer_busy_until_ = start + core_cycles(cfg_.completer_cycles) +
                           core_rate().transfer_time(seg);
-  // Move the payload out of the frame before the DMA write so the
-  // completion callback carries only frame metadata, not another copy of
-  // the data.
-  sim_.schedule_at(completer_busy_until_, [this, f, flow, seg,
-                                           dst = *dst]() mutable {
-    std::vector<std::uint8_t> payload = std::move(f.payload);
-    const std::uint32_t len = seg;
-    dma_->write(dst, std::move(payload), [this, f = std::move(f), flow, dst,
-                                          len] {
+  // The frame's payload is a window onto the sender's DMA buffer, so
+  // these closures copy a refcount, not the data.
+  sim_.schedule_at(completer_busy_until_, [this, f, flow, dst = *dst] {
+    const std::uint64_t len = f.payload.size();
+    dma_->write(dst, f.payload, [this, f, flow, dst, len] {
       if (!f.last) return;
       ++puts_completed_;
       obs::flow_stage(flow, name_.c_str(), "remote_dma", sim_.now());
@@ -511,7 +502,7 @@ void ExtollNic::handle_get_request(const Frame& f, net::NetworkLink* link,
     const bool last = job->sent == job->req.total_size;
     dma_->read(
         job->src + offset, seg,
-        [this, job, seg, offset, last](std::vector<std::uint8_t> data) {
+        [this, job, seg, offset, last](Payload data) {
           if (!last) {
             job->step();  // overlap the next pull with this push
           }
@@ -562,12 +553,9 @@ void ExtollNic::handle_get_response(const Frame& f, obs::FlowId flow) {
   const SimTime start = std::max(sim_.now(), completer_busy_until_);
   completer_busy_until_ = start + core_cycles(cfg_.completer_cycles) +
                           core_rate().transfer_time(seg);
-  sim_.schedule_at(completer_busy_until_, [this, f, flow, seg,
-                                           dst = *dst]() mutable {
-    std::vector<std::uint8_t> payload = std::move(f.payload);
-    const std::uint32_t len = seg;
-    dma_->write(dst, std::move(payload), [this, f = std::move(f), flow, dst,
-                                          len] {
+  sim_.schedule_at(completer_busy_until_, [this, f, flow, dst = *dst] {
+    const std::uint64_t len = f.payload.size();
+    dma_->write(dst, f.payload, [this, f, flow, dst, len] {
       if (!f.last) return;
       ++gets_completed_;
       obs::flow_stage(flow, name_.c_str(), "remote_dma", sim_.now());

@@ -179,10 +179,11 @@ class ExtollNic : public pcie::Endpoint {
     std::uint64_t offset = 0;  // segment offset within the transfer
     Nla src_nla = 0;
     Nla dst_nla = 0;
-    std::vector<std::uint8_t> payload;
+    Payload payload;  // a window onto the sender's DMA read buffer
 
-    std::vector<std::uint8_t> encode() const;
-    static Result<Frame> decode(const std::vector<std::uint8_t>& bytes);
+    /// Encodes the 32-byte header; the payload rides as the body.
+    net::Frame encode() const;
+    static Result<Frame> decode(const net::Frame& wire);
   };
 
   SimDuration core_cycles(std::uint32_t n) const;
@@ -202,8 +203,8 @@ class ExtollNic : public pcie::Endpoint {
   void execute_put(const WorkRequest& wr, mem::Addr src_addr);
   void execute_get(const WorkRequest& wr);
   void requester_finished(const WorkRequest& wr);
-  void on_frame(net::NetworkLink* link, int side,
-                std::vector<std::uint8_t> bytes, net::FrameMeta meta);
+  void on_frame(net::NetworkLink* link, int side, net::Frame wire,
+                net::FrameMeta meta);
   /// First-hop transmit: stamps routing metadata, counts origination,
   /// and hands the encoded frame to the route's link.
   void originate(const Route& route, const Frame& f, std::int32_t dst_node,

@@ -32,41 +32,40 @@ const char* opcode_name(WqeOpcode op) {
 // ---------------------------------------------------------------------------
 // Frame codec. Header is 44 bytes.
 
-std::vector<std::uint8_t> Hca::Frame::encode() const {
-  std::vector<std::uint8_t> bytes(44 + payload.size());
-  bytes[0] = static_cast<std::uint8_t>(kind);
-  bytes[1] = last ? 1 : 0;
-  bytes[2] = static_cast<std::uint8_t>(status);
-  bytes[3] = 0;
-  std::memcpy(&bytes[4], &dst_qpn, 4);
-  std::memcpy(&bytes[8], &total, 4);
-  std::memcpy(&bytes[12], &imm, 4);
-  std::memcpy(&bytes[16], &psn, 4);
-  std::memcpy(&bytes[20], &offset, 8);
-  std::memcpy(&bytes[28], &raddr, 8);
-  std::memcpy(&bytes[36], &rkey, 4);
-  if (!payload.empty()) {
-    std::memcpy(bytes.data() + 44, payload.data(), payload.size());
-  }
-  return bytes;
+net::Frame Hca::Frame::encode() const {
+  net::Frame wire{std::vector<std::uint8_t>(44), payload};
+  std::uint8_t* h = wire.header.data();
+  h[0] = static_cast<std::uint8_t>(kind);
+  h[1] = last ? 1 : 0;
+  h[2] = static_cast<std::uint8_t>(status);
+  h[3] = 0;
+  std::memcpy(h + 4, &dst_qpn, 4);
+  std::memcpy(h + 8, &total, 4);
+  std::memcpy(h + 12, &imm, 4);
+  std::memcpy(h + 16, &psn, 4);
+  std::memcpy(h + 20, &offset, 8);
+  std::memcpy(h + 28, &raddr, 8);
+  std::memcpy(h + 36, &rkey, 4);
+  return wire;
 }
 
-Result<Hca::Frame> Hca::Frame::decode(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() < 44) {
+Result<Hca::Frame> Hca::Frame::decode(const net::Frame& wire) {
+  if (wire.header.size() < 44) {
     return invalid_argument("IB frame shorter than header");
   }
+  const std::uint8_t* h = wire.header.data();
   Frame f;
-  f.kind = static_cast<Kind>(bytes[0]);
-  f.last = bytes[1] != 0;
-  f.status = static_cast<WcStatus>(bytes[2]);
-  std::memcpy(&f.dst_qpn, &bytes[4], 4);
-  std::memcpy(&f.total, &bytes[8], 4);
-  std::memcpy(&f.imm, &bytes[12], 4);
-  std::memcpy(&f.psn, &bytes[16], 4);
-  std::memcpy(&f.offset, &bytes[20], 8);
-  std::memcpy(&f.raddr, &bytes[28], 8);
-  std::memcpy(&f.rkey, &bytes[36], 4);
-  f.payload.assign(bytes.begin() + 44, bytes.end());
+  f.kind = static_cast<Kind>(h[0]);
+  f.last = h[1] != 0;
+  f.status = static_cast<WcStatus>(h[2]);
+  std::memcpy(&f.dst_qpn, h + 4, 4);
+  std::memcpy(&f.total, h + 8, 4);
+  std::memcpy(&f.imm, h + 12, 4);
+  std::memcpy(&f.psn, h + 16, 4);
+  std::memcpy(&f.offset, h + 20, 8);
+  std::memcpy(&f.raddr, h + 28, 8);
+  std::memcpy(&f.rkey, h + 36, 4);
+  f.payload = wire.body;
   return f;
 }
 
@@ -96,9 +95,8 @@ void Hca::connect(net::NetworkLink* link, int side) {
     link_ = link;
     link_side_ = side;
   }
-  link->attach(side, [this, link, side](std::vector<std::uint8_t> bytes,
-                                        net::FrameMeta meta) {
-    on_frame(link, side, std::move(bytes), meta);
+  link->attach(side, [this, link, side](net::Frame wire, net::FrameMeta meta) {
+    on_frame(link, side, std::move(wire), meta);
   });
 }
 
@@ -123,8 +121,7 @@ Hca::NodeRoute Hca::route_for(int dst_node) const {
   return NodeRoute{link_, link_side_};
 }
 
-void Hca::link_send(const Qp& qp, std::vector<std::uint8_t> bytes,
-                    obs::FlowId flow) {
+void Hca::link_send(const Qp& qp, net::Frame wire, obs::FlowId flow) {
   net::NetworkLink* link = qp.route_link ? qp.route_link : link_;
   const int side = qp.route_link ? qp.route_side : link_side_;
   assert(link && "HCA not connected");
@@ -134,8 +131,8 @@ void Hca::link_send(const Qp& qp, std::vector<std::uint8_t> bytes,
   }
   if (node_id_ >= 0) meta.src_node = static_cast<std::int16_t>(node_id_);
   ++totals_.frames_originated;
-  totals_.bytes_originated += bytes.size();
-  link->send(side, std::move(bytes), flow, meta);
+  totals_.bytes_originated += wire.size();
+  link->send(side, std::move(wire), flow, meta);
 }
 
 SimTime Hca::occupy_engine(SimDuration service) {
@@ -292,7 +289,7 @@ void Hca::sq_step(std::uint32_t qpn) {
   // Fetch the WQE across PCIe (host memory, or the P2P path when the ring
   // lives in GPU memory).
   dma_->read(slot, kSendWqeBytes,
-             [this, qpn, slot, t_fetch, flow](std::vector<std::uint8_t> bytes) {
+             [this, qpn, slot, t_fetch, flow](Payload bytes) {
                Qp& qp = qps_[qpn];
                if (obs::metrics()) {
                  obs::count("ib.wqe_fetches");
@@ -441,7 +438,7 @@ void Hca::stream_message(std::uint32_t qpn, Frame::Kind kind,
     job->sent += seg;
     const bool last = job->sent == job->wqe.byte_len;
     dma_->read(job->src + offset, seg,
-               [this, job, offset, last](std::vector<std::uint8_t> data) {
+               [this, job, offset, last](Payload data) {
                  // Pull the next segment while this one goes to the wire.
                  if (!last) job->step();
                  Frame f;
@@ -471,8 +468,8 @@ void Hca::stream_message(std::uint32_t qpn, Frame::Kind kind,
 // ---------------------------------------------------------------------------
 // Receive side.
 
-void Hca::on_frame(net::NetworkLink* link, int side,
-                   std::vector<std::uint8_t> bytes, net::FrameMeta meta) {
+void Hca::on_frame(net::NetworkLink* link, int side, net::Frame wire,
+                   net::FrameMeta meta) {
   if (meta.dst_node >= 0 && node_id_ >= 0 && meta.dst_node != node_id_) {
     // HCA-as-router relay: forward un-decoded to the next hop toward
     // the destination terminal, closing the incoming wire hop and
@@ -483,13 +480,13 @@ void Hca::on_frame(net::NetworkLink* link, int side,
     const NodeRoute out = route_for(meta.dst_node);
     assert(out.link && "relay without an egress link");
     ++totals_.frames_forwarded;
-    totals_.bytes_forwarded += bytes.size();
-    out.link->send(out.side, std::move(bytes), flow, meta);
+    totals_.bytes_forwarded += wire.size();
+    out.link->send(out.side, std::move(wire), flow, meta);
     return;
   }
   ++totals_.frames_delivered;
-  totals_.bytes_delivered += bytes.size();
-  auto frame = Frame::decode(bytes);
+  totals_.bytes_delivered += wire.size();
+  auto frame = Frame::decode(wire);
   if (!frame.is_ok()) {
     PG_ERROR("ib", "%s: undecodable frame", name_.c_str());
     return;
@@ -585,8 +582,8 @@ void Hca::handle_write_segment(const Frame& f, bool with_imm,
     if (f.last) send_nak(f.dst_qpn, f.psn, WcStatus::kProtectionError);
     return;
   }
-  dma_->write(f.raddr + f.offset, f.payload,
-              [deliver_tail] { deliver_tail(); }, f.last ? flow : 0);
+  dma_->write(f.raddr + f.offset, f.payload, std::move(deliver_tail),
+              f.last ? flow : 0);
 }
 
 void Hca::handle_send_segment(const Frame& f, obs::FlowId flow) {
@@ -651,7 +648,7 @@ void Hca::deliver_send_payload(const Frame& f, obs::FlowId flow) {
     if (f.last) send_nak(f.dst_qpn, f.psn, WcStatus::kProtectionError);
     return;
   }
-  dma_->write(recv.addr + f.offset, f.payload, [finish] { finish(); },
+  dma_->write(recv.addr + f.offset, f.payload, std::move(finish),
               f.last ? flow : 0);
 }
 
@@ -684,7 +681,7 @@ void Hca::handle_read_request(const Frame& f, obs::FlowId flow) {
     job->sent += seg;
     const bool last = job->sent == job->req.total;
     dma_->read(job->req.raddr + offset, seg,
-               [this, job, offset, last](std::vector<std::uint8_t> data) {
+               [this, job, offset, last](Payload data) {
                  if (!last) job->step();
                  Frame resp;
                  resp.kind = Frame::Kind::kReadResp;
@@ -812,7 +809,7 @@ void Hca::fetch_recv_wqe(Qp& qp, std::function<void(Result<RecvWqe>)> cb) {
   const SimTime ready = occupy_engine(cfg_.recv_lookup);
   sim_.schedule_at(ready, [this, slot, cb = std::move(cb)] {
     dma_->read(slot, kRecvWqeBytes,
-               [cb = std::move(cb)](std::vector<std::uint8_t> bytes) {
+               [cb = std::move(cb)](Payload bytes) {
                  cb(decode_recv_wqe(bytes.data()));
                });
   });

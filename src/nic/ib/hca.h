@@ -167,10 +167,11 @@ class Hca : public pcie::Endpoint {
     std::uint64_t raddr = 0;
     std::uint32_t rkey = 0;
     WcStatus status = WcStatus::kSuccess;  // for NAK
-    std::vector<std::uint8_t> payload;
+    Payload payload;  // a window onto the sender's DMA read buffer
 
-    std::vector<std::uint8_t> encode() const;
-    static Result<Frame> decode(const std::vector<std::uint8_t>& bytes);
+    /// Encodes the 44-byte header; the payload rides as the body.
+    net::Frame encode() const;
+    static Result<Frame> decode(const net::Frame& wire);
   };
 
   struct PendingAck {
@@ -228,8 +229,8 @@ class Hca : public pcie::Endpoint {
   void stream_message(std::uint32_t qpn, Frame::Kind kind, const SendWqe& wqe,
                       mem::Addr src, std::uint32_t psn, obs::FlowId flow,
                       std::function<void()> done);
-  void on_frame(net::NetworkLink* link, int side,
-                std::vector<std::uint8_t> bytes, net::FrameMeta meta);
+  void on_frame(net::NetworkLink* link, int side, net::Frame wire,
+                net::FrameMeta meta);
   /// Next hop for relayed frames; falls back to the default link.
   struct NodeRoute {
     net::NetworkLink* link = nullptr;
@@ -248,8 +249,7 @@ class Hca : public pcie::Endpoint {
   /// Sends a frame through the QP's route, or the default link when the
   /// QP has none. `flow`, when nonzero, rides with the frame for wire
   /// correlation at the receiver (only last frames of a message carry it).
-  void link_send(const Qp& qp, std::vector<std::uint8_t> bytes,
-                 obs::FlowId flow = 0);
+  void link_send(const Qp& qp, net::Frame wire, obs::FlowId flow = 0);
   /// `flow`, when nonzero, is the message lifecycle this completion
   /// closes: its notify_write stage is stamped when the CQE slot write
   /// lands, and the flow is queued for the slot's poller.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <memory>
 
 #include "obs/metrics.h"
@@ -11,14 +10,15 @@
 namespace pg::pcie {
 
 void DmaEngine::read(mem::Addr addr, std::uint64_t len,
-                     std::function<void(std::vector<std::uint8_t>)> on_done,
-                     obs::FlowId flow) {
+                     std::function<void(Payload)> on_done, obs::FlowId flow) {
   assert(len > 0);
   auto* job = new ReadJob;
   job->engine = this;
   job->base = addr;
   job->length = len;
-  job->buffer.resize(len);
+  // Every byte is written by exactly one chunk before the payload is
+  // handed out, so the buffer needs no zero fill.
+  job->buffer = std::make_shared_for_overwrite<std::uint8_t[]>(len);
   job->t_start = sim_.now();
   job->flow = flow;
   job->on_done = std::move(on_done);
@@ -34,54 +34,47 @@ void DmaEngine::pump_reads(ReadJob* job) {
     job->next_offset += chunk;
     ++job->outstanding;
     ++reads_issued_;
-    // Packed 40-bit offset / 24-bit chunk: with the engine pointer folded
-    // into the job, the capture is exactly two words, so std::function
-    // stores the callback inline — no heap allocation per chunk on a path
-    // every payload byte of every modeled transfer funnels through.
-    const std::uint64_t packed = offset | (std::uint64_t{chunk} << 40);
-    fabric_.read(self_, job->base + offset, chunk,
-                 [job, packed](std::vector<std::uint8_t> data) {
-                   const std::uint64_t offset = packed & ((1ull << 40) - 1);
-                   const auto chunk = static_cast<std::uint32_t>(packed >> 40);
-                   assert(data.size() == chunk);
-                   std::memcpy(job->buffer.data() + offset, data.data(),
-                               chunk);
-                   --job->outstanding;
-                   job->received += chunk;
-                   DmaEngine* self = job->engine;
-                   if (job->received == job->length) {
-                     if (obs::metrics()) {
-                       obs::count("dma.reads");
-                       obs::observe(
-                           "dma.read_ns",
+    // The target serves the chunk straight into the job's buffer. With
+    // the engine pointer folded into the job, the capture is two words,
+    // so std::function stores the callback inline — no heap allocation
+    // per chunk on a path every payload byte funnels through.
+    fabric_.read_into(
+        self_, job->base + offset, chunk, job->buffer.get() + offset,
+        [job, chunk] {
+          --job->outstanding;
+          job->received += chunk;
+          DmaEngine* self = job->engine;
+          if (job->received == job->length) {
+            if (obs::metrics()) {
+              obs::count("dma.reads");
+              obs::observe("dma.read_ns",
                            static_cast<std::uint64_t>(
                                to_ns(self->sim_.now() - job->t_start)));
-                     }
-                     if (obs::enabled()) {
-                       if (job->flow != 0) {
-                         obs::span("pcie.dma", "dma", "dma-read",
-                                   job->t_start, self->sim_.now(),
-                                   {{"addr", job->base},
-                                    {"len", job->length},
-                                    {"flow", job->flow}});
-                       } else {
-                         obs::span("pcie.dma", "dma", "dma-read",
-                                   job->t_start, self->sim_.now(),
-                                   {{"addr", job->base},
-                                    {"len", job->length}});
-                       }
-                       obs::flow_step(job->flow, "pcie.dma", self->sim_.now());
-                     }
-                     job->on_done(std::move(job->buffer));
-                     delete job;
-                     return;
-                   }
-                   self->pump_reads(job);
-                 });
+            }
+            if (obs::enabled()) {
+              if (job->flow != 0) {
+                obs::span("pcie.dma", "dma", "dma-read", job->t_start,
+                          self->sim_.now(),
+                          {{"addr", job->base},
+                           {"len", job->length},
+                           {"flow", job->flow}});
+              } else {
+                obs::span("pcie.dma", "dma", "dma-read", job->t_start,
+                          self->sim_.now(),
+                          {{"addr", job->base}, {"len", job->length}});
+              }
+              obs::flow_step(job->flow, "pcie.dma", self->sim_.now());
+            }
+            job->on_done(Payload(std::move(job->buffer), 0, job->length));
+            delete job;
+            return;
+          }
+          self->pump_reads(job);
+        });
   }
 }
 
-void DmaEngine::write(mem::Addr addr, std::vector<std::uint8_t> data,
+void DmaEngine::write(mem::Addr addr, Payload data,
                       std::function<void()> on_done, obs::FlowId flow) {
   assert(!data.empty());
   const std::uint64_t total = data.size();
@@ -97,26 +90,17 @@ void DmaEngine::write(mem::Addr addr, std::vector<std::uint8_t> data,
       if (inner) inner();
     };
   }
-  // Single-chunk payloads (the message-rate workload: tiny puts) move
-  // straight into the fabric - no shared-buffer machinery.
-  if (total <= cfg_.write_chunk_size) {
-    ++writes_issued_;
-    fabric_.write(self_, addr, std::move(data), std::move(on_done));
-    return;
-  }
   // Posted writes: issue all chunks back to back; the link model
   // serializes them. Only the final chunk carries the completion callback
-  // ("last byte landed"). All chunks alias one shared payload buffer, so
-  // chunking a large put costs zero extra copies on the DMA side.
-  auto payload = std::make_shared<const std::vector<std::uint8_t>>(
-      std::move(data));
+  // ("last byte landed"). Every chunk is a window onto the one payload
+  // buffer, so chunking costs no copies on the DMA side.
   std::uint64_t offset = 0;
   while (offset < total) {
     const auto chunk = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         cfg_.write_chunk_size, total - offset));
     const bool last = offset + chunk == total;
     ++writes_issued_;
-    fabric_.write_shared(self_, addr + offset, payload, offset, chunk,
+    fabric_.write_shared(self_, addr + offset, data.slice(offset, chunk),
                          last ? std::move(on_done) : std::function<void()>{});
     offset += chunk;
   }

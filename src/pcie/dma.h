@@ -10,8 +10,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <memory>
 
+#include "common/payload.h"
 #include "mem/address_map.h"
 #include "obs/flow.h"
 #include "pcie/fabric.h"
@@ -31,18 +32,20 @@ class DmaEngine {
             DmaConfig cfg)
       : sim_(sim), fabric_(fabric), self_(self), cfg_(cfg) {}
 
-  /// Gathers [addr, addr+len) and hands the assembled buffer to `on_done`
-  /// once the final completion arrives. A nonzero `flow` annotates the
-  /// completed transfer with that message lifecycle (trace-only).
+  /// Gathers [addr, addr+len) into one buffer and hands it to `on_done`
+  /// once the final completion arrives. Each chunk's bytes are copied
+  /// into the buffer when its request is served. A nonzero `flow`
+  /// annotates the completed transfer with that message lifecycle
+  /// (trace-only).
   void read(mem::Addr addr, std::uint64_t len,
-            std::function<void(std::vector<std::uint8_t>)> on_done,
-            obs::FlowId flow = 0);
+            std::function<void(Payload)> on_done, obs::FlowId flow = 0);
 
   /// Scatters `data` to [addr, addr+size); `on_done` runs when the last
   /// byte has landed (posted writes, so this is target-arrival time).
-  /// A nonzero `flow` annotates the transfer (trace-only).
-  void write(mem::Addr addr, std::vector<std::uint8_t> data,
-             std::function<void()> on_done, obs::FlowId flow = 0);
+  /// Every chunk is a window onto `data`'s buffer. A nonzero `flow`
+  /// annotates the transfer (trace-only).
+  void write(mem::Addr addr, Payload data, std::function<void()> on_done,
+             obs::FlowId flow = 0);
 
   std::uint64_t reads_issued() const { return reads_issued_; }
   std::uint64_t writes_issued() const { return writes_issued_; }
@@ -52,13 +55,13 @@ class DmaEngine {
     DmaEngine* engine;               // owner; lets chunk callbacks stay small
     mem::Addr base;
     std::uint64_t length;
-    std::vector<std::uint8_t> buffer;
+    std::shared_ptr<std::uint8_t[]> buffer;  // uninitialised; chunks land in place
     std::uint64_t next_offset = 0;   // next segment to request
     std::uint64_t outstanding = 0;   // requests in flight
     std::uint64_t received = 0;      // bytes completed
     SimTime t_start = 0;             // issue time (observability span)
     obs::FlowId flow = 0;            // lifecycle annotation, trace-only
-    std::function<void(std::vector<std::uint8_t>)> on_done;
+    std::function<void(Payload)> on_done;
   };
 
   /// The job is owned by its in-flight chunk callbacks collectively: the

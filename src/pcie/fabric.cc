@@ -118,27 +118,114 @@ void Fabric::write(EndpointId src, Addr addr, std::vector<std::uint8_t> data,
       });
 }
 
-void Fabric::write_shared(
-    EndpointId src, Addr addr,
-    std::shared_ptr<const std::vector<std::uint8_t>> payload,
-    std::uint64_t offset, std::uint32_t len,
-    std::function<void()> on_delivered) {
-  assert(payload && offset + len <= payload->size());
+// The DMA path's write: the delivery carries a window onto the
+// payload buffer, and the bytes are copied only into the target.
+struct Fabric::WriteDelivery {
+  Fabric* fabric;
+  Addr addr;
+  EndpointId target;
+  Payload payload;
+  std::function<void()> on_delivered;
+
+  void operator()() {
+    fabric->apply_write(target, addr, payload.span());
+    if (on_delivered) on_delivered();
+  }
+};
+
+void Fabric::write_shared(EndpointId src, Addr addr, Payload payload,
+                          std::function<void()> on_delivered) {
+  static_assert(sim::InlineFn::stores_inline<WriteDelivery>(),
+                "a write delivery must not heap-allocate per TLP");
   EndpointId target = kRootComplex;
   SimTime t = 0;
-  if (!post_write_timing(src, addr, len, target, t)) return;
-  sim_.schedule_at(
-      t, [this, target, addr, payload = std::move(payload), offset, len,
-          cb = std::move(on_delivered)]() {
-        apply_write(target, addr,
-                    std::span<const std::uint8_t>(payload->data() + offset,
-                                                  len));
-        if (cb) cb();
-      });
+  if (!post_write_timing(src, addr, payload.size(), target, t)) return;
+  sim_.schedule_at(t, WriteDelivery{this, addr, target, std::move(payload),
+                                    std::move(on_delivered)});
 }
 
-void Fabric::read(EndpointId src, Addr addr, std::uint32_t len,
-                  std::function<void(std::vector<std::uint8_t>)> on_data) {
+// Vector reads (CPU and GPU loads): the completion owns a buffer that is
+// allocated when the request is served.
+struct Fabric::VectorSink {
+  std::function<void(std::vector<std::uint8_t>)> on_data;
+
+  struct Completion {
+    std::vector<std::uint8_t> data;
+    std::function<void(std::vector<std::uint8_t>)> on_data;
+
+    std::span<std::uint8_t> bytes() { return data; }
+    void operator()() { on_data(std::move(data)); }
+  };
+  Completion open(std::uint32_t len) {
+    return Completion{std::vector<std::uint8_t>(len), std::move(on_data)};
+  }
+};
+
+// Reads into caller-owned storage (the DMA engine's payload buffer).
+struct Fabric::CallerSink {
+  std::uint8_t* out;
+  std::function<void()> on_done;
+
+  struct Completion {
+    std::span<std::uint8_t> out;
+    std::function<void()> on_done;
+
+    std::span<std::uint8_t> bytes() const { return out; }
+    void operator()() { on_done(); }
+  };
+  Completion open(std::uint32_t len) {
+    return Completion{{out, len}, std::move(on_done)};
+  }
+};
+
+// The request TLP's arrival at the target. Data is sampled here, when
+// the request is served, so writes landing before then are observed.
+template <typename Sink>
+struct Fabric::ReadArrival {
+  Fabric* fabric;
+  Addr addr;
+  SimTime t_issue;
+  EndpointId src;
+  EndpointId target;
+  std::uint32_t len;
+  Sink sink;
+
+  void operator()() {
+    Fabric& f = *fabric;
+    auto done = sink.open(len);
+    const SimTime ready = f.serve_read(target, f.sim_.now(), addr, done.bytes());
+    // Completion path: target up-link, then issuer down-link.
+    SimTime back = ready;
+    if (target != kRootComplex) {
+      back = f.ports_[target].up->occupy(ready, len);
+    }
+    if (src != kRootComplex) {
+      back = f.ports_[src].down->occupy(back, len);
+    }
+    if (obs::metrics()) {
+      obs::count("pcie.read_tlps");
+      obs::observe("pcie.read_ns",
+                   static_cast<std::uint64_t>(to_ns(back - t_issue)));
+    }
+    if (obs::enabled()) {
+      obs::span("pcie", "tlp", "read", t_issue, back,
+                {{"addr", addr},
+                 {"bytes", len},
+                 {"src", f.ports_[src].name},
+                 {"dst", f.ports_[target].name}});
+    }
+    f.sim_.schedule_at(back, std::move(done));
+  }
+};
+
+template <typename Sink>
+void Fabric::split_read(EndpointId src, Addr addr, std::uint32_t len,
+                        Sink sink) {
+  static_assert(sim::InlineFn::stores_inline<ReadArrival<Sink>>(),
+                "a read arrival must not heap-allocate per TLP");
+  static_assert(
+      sim::InlineFn::stores_inline<decltype(sink.open(len))>(),
+      "a read completion must not heap-allocate per TLP");
   EndpointId target = kRootComplex;
   if (!route(addr, target)) {
     PG_ERROR("pcie", "read of unrouted address 0x%llx",
@@ -156,38 +243,18 @@ void Fabric::read(EndpointId src, Addr addr, std::uint32_t len,
   if (target != kRootComplex) {
     arrival = ports_[target].down->occupy(arrival, 0);
   }
-  // Service at the target: data is sampled when the request is served.
-  // We defer sampling to the arrival event so that writes landing before
-  // the request is served are observed.
-  const SimTime t_issue = now;
-  sim_.schedule_at(arrival, [this, src, target, addr, len, arrival, t_issue,
-                             cb = std::move(on_data)]() mutable {
-    std::vector<std::uint8_t> data(len);
-    const SimTime ready = serve_read(target, arrival, addr, data);
-    // Completion path: target up-link, then issuer down-link.
-    SimTime back = ready;
-    if (target != kRootComplex) {
-      back = ports_[target].up->occupy(ready, len);
-    }
-    if (src != kRootComplex) {
-      back = ports_[src].down->occupy(back, len);
-    }
-    if (obs::metrics()) {
-      obs::count("pcie.read_tlps");
-      obs::observe("pcie.read_ns",
-                   static_cast<std::uint64_t>(to_ns(back - t_issue)));
-    }
-    if (obs::enabled()) {
-      obs::span("pcie", "tlp", "read", t_issue, back,
-                {{"addr", addr},
-                 {"bytes", len},
-                 {"src", ports_[src].name},
-                 {"dst", ports_[target].name}});
-    }
-    sim_.schedule_at(back, [data = std::move(data), cb = std::move(cb)]() {
-      cb(std::move(data));
-    });
-  });
+  sim_.schedule_at(arrival, ReadArrival<Sink>{this, addr, now, src, target,
+                                              len, std::move(sink)});
+}
+
+void Fabric::read(EndpointId src, Addr addr, std::uint32_t len,
+                  std::function<void(std::vector<std::uint8_t>)> on_data) {
+  split_read(src, addr, len, VectorSink{std::move(on_data)});
+}
+
+void Fabric::read_into(EndpointId src, Addr addr, std::uint32_t len,
+                       std::uint8_t* out, std::function<void()> on_done) {
+  split_read(src, addr, len, CallerSink{out, std::move(on_done)});
 }
 
 std::uint64_t Fabric::upstream_bytes(EndpointId id) const {

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/payload.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "mem/address_map.h"
@@ -77,20 +78,26 @@ class Fabric {
   void write(EndpointId src, Addr addr, std::vector<std::uint8_t> data,
              std::function<void()> on_delivered = {});
 
-  /// Posted write whose payload is a window into a shared buffer:
-  /// [offset, offset+len) of `*payload`. The DMA engine uses this to
-  /// chunk one payload into many TLPs that all alias a single
-  /// allocation instead of copying each piece. Timing is identical to
-  /// the vector overload.
-  void write_shared(EndpointId src, Addr addr,
-                    std::shared_ptr<const std::vector<std::uint8_t>> payload,
-                    std::uint64_t offset, std::uint32_t len,
+  /// Posted write of a payload window. The DMA engine uses this to
+  /// chunk one payload into many TLPs that all alias a single buffer
+  /// instead of copying each piece; the bytes are copied once, into the
+  /// target, when the write lands. Timing is identical to the vector
+  /// overload.
+  void write_shared(EndpointId src, Addr addr, Payload payload,
                     std::function<void()> on_delivered = {});
 
   /// Split read of `len` bytes at `addr`, issued by `src`. `on_data` runs
   /// when the completion arrives back at the issuer.
   void read(EndpointId src, Addr addr, std::uint32_t len,
             std::function<void(std::vector<std::uint8_t>)> on_data);
+
+  /// Split read into caller-owned storage: the target's bytes are
+  /// sampled into [out, out+len) when the request is served, and
+  /// `on_done` runs when the completion arrives back at the issuer.
+  /// `out` must stay valid until then. Timing and events are identical
+  /// to the vector overload.
+  void read_into(EndpointId src, Addr addr, std::uint32_t len,
+                 std::uint8_t* out, std::function<void()> on_done);
 
   /// Immediate, zero-time access to host DRAM for the CPU (the CPU's own
   /// loads/stores do not cross the fabric; their cost lives in the CPU
@@ -121,6 +128,19 @@ class Fabric {
   /// Endpoint owning `addr`, or kRootComplex when it is host DRAM.
   /// Returns false when the address routes nowhere.
   bool route(Addr addr, EndpointId& out) const;
+
+  /// Where a split read's bytes live: `open(len)`, called at the serve
+  /// instant, returns the completion event, whose `bytes()` the target
+  /// fills and which delivers them when the completion TLPs arrive.
+  struct VectorSink;
+  struct CallerSink;
+  template <typename Sink>
+  struct ReadArrival;
+  struct WriteDelivery;
+
+  /// The one split-read transaction behind both read overloads.
+  template <typename Sink>
+  void split_read(EndpointId src, Addr addr, std::uint32_t len, Sink sink);
 
   /// Serves a read at the routing target, returning data-ready time.
   SimTime serve_read(EndpointId target, SimTime arrival, Addr addr,

@@ -24,6 +24,18 @@ class InlineFn {
   /// including the PCIe fabric's read-completion continuations.
   static constexpr std::size_t kInlineSize = 88;
 
+  /// True when a closure of type F lives inside the InlineFn's own
+  /// buffer. Hot paths static_assert it on their named closures: a
+  /// capture that grows past kInlineSize would otherwise fall back to a
+  /// heap allocation per event without any visible change.
+  template <typename F>
+  static constexpr bool stores_inline() {
+    using Fn = std::decay_t<F>;
+    return sizeof(Fn) <= kInlineSize &&
+           alignof(Fn) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
+
   InlineFn() noexcept = default;
   InlineFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
@@ -33,9 +45,7 @@ class InlineFn {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (stores_inline<Fn>()) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
     } else {

@@ -2,6 +2,7 @@
 // composition (Node/Cluster/testbeds).
 #include <gtest/gtest.h>
 
+#include "common/payload.h"
 #include "host/cpu.h"
 #include "net/link.h"
 #include "putget/extoll_host.h"
@@ -78,12 +79,12 @@ TEST(NetworkLink, DeliversFramesInOrderWithLatency) {
   net::NetworkLink link(sim, cfg);
   std::vector<int> received;
   SimTime first_arrival = 0;
-  link.attach(1, [&](std::vector<std::uint8_t> frame, net::FrameMeta) {
+  link.attach(1, [&](net::Frame frame, net::FrameMeta) {
     if (received.empty()) first_arrival = sim.now();
-    received.push_back(frame[0]);
+    received.push_back(frame.header[0]);
   });
   for (int i = 0; i < 5; ++i) {
-    link.send(0, {static_cast<std::uint8_t>(i), 0, 0, 0});
+    link.send(0, net::Frame{{static_cast<std::uint8_t>(i), 0, 0, 0}, {}});
   }
   sim.run();
   ASSERT_EQ(received.size(), 5u);
@@ -97,11 +98,11 @@ TEST(NetworkLink, DirectionsAreIndependent) {
   sim::Simulation sim;
   net::NetworkLink link(sim, net::NetConfig{});
   int got0 = 0, got1 = 0;
-  link.attach(0, [&](std::vector<std::uint8_t>, net::FrameMeta) { ++got0; });
-  link.attach(1, [&](std::vector<std::uint8_t>, net::FrameMeta) { ++got1; });
-  link.send(0, {1});
-  link.send(1, {2});
-  link.send(1, {3});
+  link.attach(0, [&](net::Frame, net::FrameMeta) { ++got0; });
+  link.attach(1, [&](net::Frame, net::FrameMeta) { ++got1; });
+  link.send(0, net::Frame{{1}, {}});
+  link.send(1, net::Frame{{2}, {}});
+  link.send(1, net::Frame{{3}, {}});
   sim.run();
   EXPECT_EQ(got1, 1);  // from side 0
   EXPECT_EQ(got0, 2);  // from side 1
@@ -115,13 +116,36 @@ TEST(NetworkLink, SerializationBoundsThroughput) {
   cfg.header_bytes = 0;
   net::NetworkLink link(sim, cfg);
   SimTime last = 0;
-  link.attach(1, [&](std::vector<std::uint8_t>, net::FrameMeta) { last = sim.now(); });
+  link.attach(1, [&](net::Frame, net::FrameMeta) { last = sim.now(); });
   // 10 x 1000 B at 1 GB/s = at least 10 us of wire time.
+  const Payload body = Payload::copy_of(std::vector<std::uint8_t>(1000, 7));
   for (int i = 0; i < 10; ++i) {
-    link.send(0, std::vector<std::uint8_t>(1000, 7));
+    link.send(0, net::Frame{{}, body});
   }
   sim.run();
   EXPECT_GE(last, microseconds(10));
+}
+
+TEST(NetworkLink, WireSizeIsHeaderPlusBodyAndBodyTravelsByReference) {
+  sim::Simulation sim;
+  net::NetConfig cfg;
+  cfg.mtu = 4096;
+  net::NetworkLink link(sim, cfg);
+  const Payload buffer =
+      Payload::copy_of(std::vector<std::uint8_t>(10000, 0x5A));
+  const Payload body = buffer.slice(100, 9000);
+  const std::uint8_t* seen = nullptr;
+  std::uint64_t seen_size = 0;
+  link.attach(1, [&](net::Frame frame, net::FrameMeta) {
+    seen = frame.body.data();
+    seen_size = frame.size();
+  });
+  link.send(0, net::Frame{std::vector<std::uint8_t>(32), body});
+  sim.run();
+  EXPECT_EQ(seen, body.data());  // the receiver sees the sender's bytes
+  EXPECT_EQ(seen_size, 32u + 9000u);
+  EXPECT_EQ(link.bytes_sent(0), 32u + 9000u);
+  EXPECT_EQ(link.dir_stats(0).bytes, 32u + 9000u);
 }
 
 // --- Node / Cluster / testbeds ----------------------------------------------

@@ -2,8 +2,11 @@
 // posted-write ordering, the DMA engine, and the peer-to-peer read model.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <span>
 #include <vector>
 
+#include "common/payload.h"
 #include "common/rng.h"
 #include "mem/memory_domain.h"
 #include "pcie/dma.h"
@@ -66,6 +69,7 @@ class FakeEndpoint : public Endpoint {
     for (std::size_t i = 0; i < out.size(); ++i) {
       out[i] = static_cast<std::uint8_t>(fill + i);
     }
+    if (after_read) after_read(out);
     return arrival + read_latency;
   }
 
@@ -81,6 +85,8 @@ class FakeEndpoint : public Endpoint {
   std::vector<Read> reads;
   std::uint8_t fill = 0x40;
   SimDuration read_latency = nanoseconds(100);
+  /// Runs right after a read is served, with the bytes it returned.
+  std::function<void(std::span<const std::uint8_t>)> after_read;
 };
 
 struct FabricFixture {
@@ -269,17 +275,21 @@ struct DmaFixture : FabricFixture {
   DmaEngine dma{sim, fabric, nic_id, dma_cfg};
 };
 
+std::vector<std::uint8_t> bytes_of(const Payload& p) {
+  return std::vector<std::uint8_t>(p.data(), p.data() + p.size());
+}
+
 TEST(Dma, GatherReadReassemblesExactBytes) {
   DmaFixture f;
   Rng rng(17);
   std::vector<std::uint8_t> payload(20000);
   for (auto& b : payload) b = rng.next_byte();
   f.memory.write(AddressMap::kHostDramBase + 1000, payload);
-  std::vector<std::uint8_t> got;
+  Payload got;
   f.dma.read(AddressMap::kHostDramBase + 1000, payload.size(),
-             [&](std::vector<std::uint8_t> data) { got = std::move(data); });
+             [&](Payload data) { got = std::move(data); });
   f.sim.run();
-  EXPECT_EQ(got, payload);
+  EXPECT_EQ(bytes_of(got), payload);
   // 20000 bytes at 4096-byte requests = 5 requests.
   EXPECT_EQ(f.dma.reads_issued(), 5u);
 }
@@ -290,13 +300,89 @@ TEST(Dma, ScatterWriteLandsExactBytes) {
   std::vector<std::uint8_t> payload(9000);
   for (auto& b : payload) b = rng.next_byte();
   bool done = false;
-  f.dma.write(AddressMap::kHostDramBase + 2048, payload, [&] { done = true; });
+  f.dma.write(AddressMap::kHostDramBase + 2048, Payload::copy_of(payload),
+              [&] { done = true; });
   f.sim.run();
   EXPECT_TRUE(done);
   std::vector<std::uint8_t> got(payload.size());
   f.memory.read(AddressMap::kHostDramBase + 2048, got);
   EXPECT_EQ(got, payload);
   EXPECT_EQ(f.dma.writes_issued(), 3u);  // 4096+4096+808
+}
+
+TEST(Dma, ReadSamplesAtServeTime) {
+  // The GPU endpoint answers each chunk 100 ns after serving it. One
+  // nanosecond after every serve the source is overwritten, so every
+  // overwrite lands while that chunk's completion is still in flight;
+  // the read must deliver the bytes as they were when each chunk was
+  // served.
+  DmaFixture f;
+  std::vector<std::uint8_t> served;
+  SimTime last_overwrite = 0;
+  f.gpu.after_read = [&](std::span<const std::uint8_t> out) {
+    served.insert(served.end(), out.begin(), out.end());
+    f.sim.schedule(nanoseconds(1), [&] {
+      f.gpu.fill = static_cast<std::uint8_t>(f.gpu.fill + 0x11);
+      last_overwrite = f.sim.now();
+    });
+  };
+  constexpr std::uint64_t kLen = 3 * 4096 + 100;
+  Payload got;
+  SimTime done_at = 0;
+  f.dma.read(AddressMap::kGpuDramBase, kLen, [&](Payload data) {
+    got = std::move(data);
+    done_at = f.sim.now();
+  });
+  f.sim.run();
+  ASSERT_EQ(f.gpu.reads.size(), 4u);
+  for (std::size_t i = 0; i < f.gpu.reads.size(); ++i) {
+    EXPECT_EQ(f.gpu.reads[i].addr, AddressMap::kGpuDramBase + i * 4096);
+  }
+  ASSERT_EQ(got.size(), kLen);
+  EXPECT_LT(last_overwrite, done_at);
+  EXPECT_EQ(bytes_of(got), served);
+  EXPECT_EQ(got.data()[0], 0x40);           // chunk 0 as served...
+  EXPECT_EQ(f.gpu.fill, 0x40 + 4 * 0x11);   // ...not as overwritten
+}
+
+TEST(Dma, WriteOfPayloadWindowLandsExactBytes) {
+  const mem::Addr src = AddressMap::kHostDramBase + 64 * KiB;
+  const mem::Addr dst = AddressMap::kHostDramBase + 1 * MiB + 3;
+  constexpr std::uint64_t kGuard = 16;
+  for (std::uint64_t offset : {0u, 1u, 4095u}) {
+    for (std::uint64_t len : {1u, 4095u, 4096u, 4097u, 9000u}) {
+      SCOPED_TRACE(testing::Message() << "offset " << offset << " len "
+                                      << len);
+      DmaFixture f;
+      Rng rng(offset * 131 + len);
+      std::vector<std::uint8_t> source(offset + len + 7);
+      for (auto& b : source) b = rng.next_byte();
+      f.memory.write(src, source);
+      Payload read;
+      f.dma.read(src, source.size(), [&](Payload p) { read = std::move(p); });
+      f.sim.run();
+      ASSERT_EQ(read.size(), source.size());
+      // Rewrite the source: what lands must be what the read served.
+      f.memory.write(src, std::vector<std::uint8_t>(source.size(), 0xEE));
+      const std::uint64_t issued_before = f.dma.writes_issued();
+      bool done = false;
+      f.dma.write(dst, read.slice(offset, len), [&] { done = true; });
+      f.sim.run();
+      EXPECT_TRUE(done);
+      EXPECT_EQ(f.dma.writes_issued() - issued_before, (len + 4095) / 4096);
+      std::vector<std::uint8_t> landed(len + 2 * kGuard);
+      f.memory.read(dst - kGuard, landed);
+      const std::vector<std::uint8_t> want(source.begin() + offset,
+                                           source.begin() + offset + len);
+      EXPECT_EQ(std::vector<std::uint8_t>(landed.begin() + kGuard,
+                                          landed.end() - kGuard),
+                want);
+      for (std::uint64_t i = 0; i < kGuard; ++i) {
+        EXPECT_EQ(landed[i], 0u) << "byte before the window, " << i;
+        EXPECT_EQ(landed[kGuard + len + i], 0u) << "byte after, " << i;
+      }
+    }
+  }
 }
 
 TEST(Dma, WindowedReadsOverlap) {
@@ -307,13 +393,13 @@ TEST(Dma, WindowedReadsOverlap) {
   DmaEngine serial(strict.sim, strict.fabric, strict.nic_id, strict.dma_cfg);
   SimTime serial_done = 0;
   serial.read(AddressMap::kHostDramBase, 256 * KiB,
-              [&](std::vector<std::uint8_t>) { serial_done = strict.sim.now(); });
+              [&](Payload) { serial_done = strict.sim.now(); });
   strict.sim.run();
 
   DmaFixture wide;
   SimTime wide_done = 0;
   wide.dma.read(AddressMap::kHostDramBase, 256 * KiB,
-                [&](std::vector<std::uint8_t>) { wide_done = wide.sim.now(); });
+                [&](Payload) { wide_done = wide.sim.now(); });
   wide.sim.run();
 
   EXPECT_LT(wide_done, serial_done);
