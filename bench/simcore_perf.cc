@@ -228,26 +228,30 @@ double bench_fig2_wall_ms() {
   return ms_since(start);
 }
 
-/// Host polling: one 16 MiB host-controlled EXTOLL ping-pong. The host
-/// CPUs spin on notifications for the whole transfer; most of their
-/// probes are charged by the poll-loop fast-forward instead of run.
-struct HostPollRun {
+/// One 16 MiB EXTOLL ping-pong whose waits are poll loops, timed whole.
+struct PollRun {
   double wall_ms = 0.0;
   putget::PingPongResult result;
 };
 
-HostPollRun bench_host_poll() {
+PollRun bench_poll(const char* name, putget::TransferMode mode) {
   const auto start = Clock::now();
-  HostPollRun out;
-  out.result = putget::run_extoll_pingpong(
-      sys::extoll_testbed(), putget::TransferMode::kHostControlled,
-      16u << 20, 1);
+  PollRun out;
+  out.result =
+      putget::run_extoll_pingpong(sys::extoll_testbed(), mode, 16u << 20, 1);
   out.wall_ms = ms_since(start);
   if (!out.result.payload_ok) {
-    std::fprintf(stderr, "host_poll workload FAILED\n");
+    std::fprintf(stderr, "%s workload FAILED\n", name);
     std::exit(1);
   }
   return out;
+}
+
+/// Host polling: host-controlled. The host CPUs spin on notifications
+/// for the whole transfer; most of their probes are charged by the
+/// poll-loop fast-forward instead of run.
+PollRun bench_host_poll() {
+  return bench_poll("host_poll", putget::TransferMode::kHostControlled);
 }
 
 /// Payload datapath: one 16 MiB EXTOLL dev2dev-direct ping-pong, in
@@ -287,6 +291,28 @@ PayloadPathRun bench_payload_path() {
                  "schedules %llu\n",
                  static_cast<unsigned long long>(out.events),
                  static_cast<unsigned long long>(kPayloadPathEvents));
+    std::exit(1);
+  }
+  return out;
+}
+
+/// Device polling: dev2dev-pollOnGPU. Each GPU spins one warp on the
+/// payload's last word in its own device memory, an L2 hit per probe,
+/// for the whole transfer; the host does not poll, so every probe
+/// counted here is a warp's. Most of them are charged by the device
+/// poll-loop fast-forward instead of run. The event count is that of the
+/// stepped interpreter and gates the bench like payload_path's.
+constexpr std::uint64_t kDevicePollEvents = 367889;
+
+PollRun bench_device_poll() {
+  PollRun out =
+      bench_poll("device_poll", putget::TransferMode::kGpuPollDevice);
+  if (out.result.events_scheduled != kDevicePollEvents) {
+    std::fprintf(stderr,
+                 "device_poll FAILED: %llu events scheduled, the model "
+                 "schedules %llu\n",
+                 static_cast<unsigned long long>(out.result.events_scheduled),
+                 static_cast<unsigned long long>(kDevicePollEvents));
     std::exit(1);
   }
   return out;
@@ -501,6 +527,8 @@ int main(int argc, char** argv) {
                             "host poll (16 MiB host-controlled ping-pong)",
                             "payload path (16 MiB dev2dev-direct ping-pong, "
                             "event-count gated)",
+                            "device poll (16 MiB dev2dev-pollOnGPU ping-pong, "
+                            "event-count gated)",
                             "pdes scaling matrix",
                             "traced pdes scaling (byte-parity gated)"}) {
         std::printf("  %s\n", s);
@@ -519,9 +547,11 @@ int main(int argc, char** argv) {
   const PayloadFill fill = bench_payload_fill();
   const double fig1_ms = bench_fig1_wall_ms();
   const double fig2_ms = bench_fig2_wall_ms();
-  const HostPollRun host_poll = bench_host_poll();
+  const PollRun host_poll = bench_host_poll();
   const putget::PingPongResult& hp = host_poll.result;
   const PayloadPathRun path = bench_payload_path();
+  const PollRun device_poll = bench_device_poll();
+  const putget::PingPongResult& dp = device_poll.result;
   const std::vector<PdesCell> pdes = bench_pdes_matrix();
   const std::vector<TracedCell> traced = bench_pdes_traced();
 
@@ -548,6 +578,12 @@ int main(int argc, char** argv) {
               "wall, %llu events)\n",
               path.ns_per_byte, static_cast<unsigned long long>(path.bytes),
               path.wall_ms, static_cast<unsigned long long>(path.events));
+  std::printf("  device poll 16 MiB %10.1f ms wall    (%llu events, warp "
+              "probes %llu executed / %llu skipped)\n",
+              device_poll.wall_ms,
+              static_cast<unsigned long long>(dp.events_scheduled),
+              static_cast<unsigned long long>(dp.probes_executed),
+              static_cast<unsigned long long>(dp.probes_skipped));
   std::printf("  pdes ring scaling (cells=%u iters=%u, checksum-gated)\n",
               kPdesCells, kPdesIters);
   for (const PdesCell& c : pdes) {
@@ -593,6 +629,15 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(path.bytes),
                  path.ns_per_byte, path.wall_ms,
                  static_cast<unsigned long long>(path.events));
+    std::fprintf(f,
+                 " \"device_poll\":{\"workload\":\"extoll/dev2dev-pollOnGPU "
+                 "pingpong 16 MiB x1\",\"wall_ms\":%.3f,"
+                 "\"events_scheduled\":%llu,\"probes_executed\":%llu,"
+                 "\"probes_skipped\":%llu},\n",
+                 device_poll.wall_ms,
+                 static_cast<unsigned long long>(dp.events_scheduled),
+                 static_cast<unsigned long long>(dp.probes_executed),
+                 static_cast<unsigned long long>(dp.probes_skipped));
     std::fprintf(f,
                  " \"pdes\":{\"workload\":\"ext_multinode_ring/extoll\","
                  "\"cells_per_node\":%u,\"iterations\":%u,\"reps\":%d,"

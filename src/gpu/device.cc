@@ -24,6 +24,21 @@ void unique_sorted(std::vector<std::uint64_t>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
+/// Coalesces the lanes' `width`-byte accesses into the unique 32 B
+/// sectors they touch, sorted. One lane in one sector (the device
+/// library's steady state) is already unique and sorted.
+template <typename Lanes>
+void gather_sectors(const Lanes& lanes, unsigned width,
+                    std::vector<std::uint64_t>& sectors) {
+  sectors.clear();
+  for (const auto& la : lanes) {
+    const std::uint64_t first = la.addr / 32;
+    const std::uint64_t last = (la.addr + width - 1) / 32;
+    for (std::uint64_t s = first; s <= last; ++s) sectors.push_back(s);
+  }
+  if (sectors.size() > 1) unique_sorted(sectors);
+}
+
 std::uint64_t sign_extend_none(std::uint64_t raw, unsigned width) {
   // Loads are zero-extended (PTX ld.uN semantics).
   switch (width) {
@@ -75,6 +90,13 @@ struct Gpu::WarpExec {
   // Posted stores copy what they need instead.
   std::vector<LaneAccess> scratch;
   std::vector<std::uint64_t> sectors;
+
+  // Pure device poll loop (exec_load). `poll` is registered with the
+  // simulation while the warp's pending load completion is a probe;
+  // `poll_pc` is the loop head whose completion is running, until the
+  // warp re-probes it.
+  sim::Simulation::PollLoop poll;
+  int poll_pc = -1;
 };
 
 struct Gpu::StreamState {
@@ -301,7 +323,7 @@ void Gpu::flow_poll_detect(mem::Addr addr, unsigned width) {
 }
 
 bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                    SimDuration& dt) {
+                    SimDuration& dt, unsigned steps) {
   using LaneAccess = WarpExec::LaneAccess;
   WarpState& ws = w->state;
   std::vector<LaneAccess>& lanes = w->scratch;
@@ -331,18 +353,9 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   if (space == Space::kGpuDram) {
     // Coalesce into unique 32B sectors; each is one L2 read request.
     std::vector<std::uint64_t>& sectors = w->sectors;
-    sectors.clear();
-    for (const auto& la : lanes) {
-      if (in.width == 8) {
-        ++counters_.globmem_read64;
-      } else {
-        ++counters_.globmem_read_other;
-      }
-      const std::uint64_t first = la.addr / 32;
-      const std::uint64_t last = (la.addr + in.width - 1) / 32;
-      for (std::uint64_t s = first; s <= last; ++s) sectors.push_back(s);
-    }
-    unique_sorted(sectors);
+    gather_sectors(lanes, in.width, sectors);
+    (in.width == 8 ? counters_.globmem_read64
+                   : counters_.globmem_read_other) += lanes.size();
     bool all_hit = true;
     for (std::uint64_t s : sectors) {
       const bool hit = l2_.access(s * 32, /*is_write=*/false);
@@ -366,57 +379,27 @@ bool Gpu::exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
     }
     // Sample at completion: NIC writes landing during the access latency
     // are observed, matching hardware where the L2 serves the request.
-    // The warp is parked, so the continuation reads w->scratch in place.
-    sim_.schedule(dt + latency, [this, w, &in] {
-      const std::vector<LaneAccess>& lns = w->scratch;
-      // Coalesced fast path: when every active lane hits one backing
-      // page (the common case: warp-uniform polls and unit-stride
-      // accesses), resolve the page once instead of per lane. Data-only;
-      // every counter was already updated at issue.
-      Addr lo = lns.front().addr;
-      Addr hi = lo;
-      for (const auto& la : lns) {
-        lo = std::min(lo, la.addr);
-        hi = std::max(hi, la.addr);
-      }
-      const std::uint64_t off = lo - AddressMap::kGpuDramBase;
-      const std::uint64_t len = hi + in.width - lo;
-      const mem::SparseMemory& dram = memory_.gpu_dram();
-      if (off / mem::SparseMemory::kPageSize ==
-          (off + len - 1) / mem::SparseMemory::kPageSize) {
-        if (const std::uint8_t* base = dram.span_in_page(off, len)) {
-          for (const auto& la : lns) {
-            std::uint64_t v = 0;
-            std::memcpy(&v, base + (la.addr - lo), in.width);
-            w->state.set_reg(la.lane, in.rd, sign_extend_none(v, in.width));
-          }
-        } else {  // page absent: reads as zero
-          for (const auto& la : lns) w->state.set_reg(la.lane, in.rd, 0);
-        }
-      } else {
-        for (const auto& la : lns) {
-          w->state.set_reg(la.lane, in.rd, load_backed(*w, la.addr, in.width));
-        }
-      }
-      // The sample above reflects every write landed by now, so if a
-      // lifecycle is parked under a polled lane this is the load that
-      // detected it.
-      flow_poll_detect(*w, in.width);
-      w->state.set_pc(w->state.pc() + 1);
-      run_warp(w);
-    });
+    // The warp is parked, so the completion reads w->scratch in place.
+    //
+    // A failed iteration of a pure device poll loop: the completion of
+    // this same load ran setp and bra (steps 1 and 2 of its slice) and
+    // branched back here, one sector hit again, and nothing observes
+    // single probes. Re-probe as a pure probe. Only one warp per GPU
+    // polls as a probe: its charged hits alone move this L2's clock.
+    if (in.poll_head && w->poll_pc == ws.pc() && steps == 3 && all_hit &&
+        sectors.size() == 1 && obs::flows() == nullptr && !obs::enabled() &&
+        (w->poll.waiting || device_pollers_ == 0)) {
+      reprobe_l2_poll(w, in, dt + latency);
+      return true;
+    }
+    sim_.schedule(dt + latency, [this, w, &in] { finish_l2_load(w, in); });
     return true;
   }
 
   // System memory or MMIO: split transactions over PCIe.
   {
     std::vector<std::uint64_t>& sectors = w->sectors;
-    sectors.clear();
-    for (const auto& la : lanes) {
-      sectors.push_back(la.addr / 32);
-      sectors.push_back((la.addr + in.width - 1) / 32);
-    }
-    unique_sorted(sectors);
+    gather_sectors(lanes, in.width, sectors);
     counters_.sysmem_read_transactions += sectors.size();
     if (obs::metrics()) {
       obs::count("gpu.sysmem_loads");
@@ -489,18 +472,9 @@ void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
 
   if (space == Space::kGpuDram) {
     std::vector<std::uint64_t>& sectors = w->sectors;
-    sectors.clear();
-    for (const auto& la : lanes) {
-      if (in.width == 8) {
-        ++counters_.globmem_write64;
-      } else {
-        ++counters_.globmem_write_other;
-      }
-      const std::uint64_t first = la.addr / 32;
-      const std::uint64_t last = (la.addr + in.width - 1) / 32;
-      for (std::uint64_t s = first; s <= last; ++s) sectors.push_back(s);
-    }
-    unique_sorted(sectors);
+    gather_sectors(lanes, in.width, sectors);
+    (in.width == 8 ? counters_.globmem_write64
+                   : counters_.globmem_write_other) += lanes.size();
     counters_.l2_write_requests += sectors.size();
     for (std::uint64_t s : sectors) {
       (void)l2_.access(s * 32, /*is_write=*/true);  // write-allocate
@@ -528,12 +502,7 @@ void Gpu::exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   // posts an EXTOLL WR to the BAR or rings the IB doorbell).
   {
     std::vector<std::uint64_t>& sectors = w->sectors;
-    sectors.clear();
-    for (const auto& la : lanes) {
-      sectors.push_back(la.addr / 32);
-      sectors.push_back((la.addr + in.width - 1) / 32);
-    }
-    unique_sorted(sectors);
+    gather_sectors(lanes, in.width, sectors);
     counters_.sysmem_write_transactions += sectors.size();
     const unsigned width = in.width;
     // Stores to MMIO (NIC BAR / doorbells) sit in the write-combine
@@ -602,6 +571,83 @@ bool Gpu::exec_atomic(const std::shared_ptr<WarpExec>& w, const Decoded& in,
   return true;
 }
 
+void Gpu::finish_l2_load(const std::shared_ptr<WarpExec>& w,
+                         const Decoded& in) {
+  using LaneAccess = WarpExec::LaneAccess;
+  const std::vector<LaneAccess>& lns = w->scratch;
+  WarpState& ws = w->state;
+  // Coalesced fast path: when every active lane hits one backing page
+  // (the common case: warp-uniform polls and unit-stride accesses),
+  // resolve the page once instead of per lane. Data-only; every counter
+  // was already updated at issue.
+  Addr lo = lns.front().addr;
+  Addr hi = lo;
+  for (const auto& la : lns) {
+    lo = std::min(lo, la.addr);
+    hi = std::max(hi, la.addr);
+  }
+  const std::uint64_t off = lo - AddressMap::kGpuDramBase;
+  const std::uint64_t len = hi + in.width - lo;
+  const mem::SparseMemory& dram = memory_.gpu_dram();
+  if (off / mem::SparseMemory::kPageSize ==
+      (off + len - 1) / mem::SparseMemory::kPageSize) {
+    if (const std::uint8_t* base = dram.span_in_page(off, len)) {
+      for (const auto& la : lns) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, base + (la.addr - lo), in.width);
+        ws.set_reg(la.lane, in.rd, sign_extend_none(v, in.width));
+      }
+    } else {  // page absent: reads as zero
+      for (const auto& la : lns) ws.set_reg(la.lane, in.rd, 0);
+    }
+  } else {
+    for (const auto& la : lns) {
+      ws.set_reg(la.lane, in.rd, load_backed(*w, la.addr, in.width));
+    }
+  }
+  // The sample above reflects every write landed by now, so if a
+  // lifecycle is parked under a polled lane this is the load that
+  // detected it.
+  flow_poll_detect(*w, in.width);
+  if (in.poll_head) w->poll_pc = ws.pc();
+  ws.set_pc(ws.pc() + 1);
+  run_warp(w);
+  if (w->poll_pc < 0) return;  // re-probed (exec_load), or no poll head
+  // The warp left the loop: its predicate held, or the re-issue was no
+  // pure probe. A probe that did so ran the rest of the warp inline, so
+  // it ends the loop's wait and counts as a plain event.
+  w->poll_pc = -1;
+  if (w->poll.waiting) {
+    --device_pollers_;
+    sim_.poll_done(w->poll);
+    sim_.new_epoch();
+  }
+}
+
+void Gpu::reprobe_l2_poll(const std::shared_ptr<WarpExec>& w,
+                          const Decoded& in, SimDuration interval) {
+  w->poll_pc = -1;
+  if (!w->poll.waiting) ++device_pollers_;
+  w->poll.interval = interval;
+  const std::uint64_t skipped = sim_.schedule_reprobe(
+      w->poll, [this, w, &in] { finish_l2_load(w, in); });
+  if (skipped == 0) return;
+  probes_skipped_ += skipped;
+  // Each skipped iteration is setp, bra and this load on every active
+  // lane, hitting the one sector again: charge exactly what stepping
+  // would have counted.
+  const std::uint64_t lanes = w->scratch.size();
+  counters_.instructions_executed += 3 * lanes * skipped;
+  counters_.memory_accesses += lanes * skipped;
+  (in.width == 8 ? counters_.globmem_read64
+                 : counters_.globmem_read_other) += lanes * skipped;
+  counters_.l2_read_requests += skipped;
+  counters_.l2_read_hits += skipped;
+  counters_.branches += skipped;
+  l2_.charge_hits(w->sectors.front() * 32, skipped);
+  if (obs::metrics()) obs::count("gpu.l2_loads", skipped);
+}
+
 // ---------------------------------------------------------------------------
 // Non-posted read credit gate.
 
@@ -647,7 +693,10 @@ void Gpu::run_warp(const std::shared_ptr<WarpExec>& w) {
       retire_warp(w, dt);
       return;
     }
-    if (ws.maybe_reconverge()) continue;
+    if (ws.maybe_reconverge()) {
+      w->poll_pc = -1;  // no longer a plain poll-loop iteration
+      continue;
+    }
     assert(static_cast<std::size_t>(ws.pc()) < code_size);
     const Decoded& in = code[ws.pc()];
     counters_.instructions_executed += ws.active_count();
@@ -831,7 +880,10 @@ void Gpu::run_warp(const std::shared_ptr<WarpExec>& w) {
           if ((ws.reg(lane, in.ra) != 0) == want) taken |= (1u << lane);
         });
         ++counters_.branches;
-        if (ws.branch(taken, in.target)) ++counters_.divergent_branches;
+        if (ws.branch(taken, in.target)) {
+          ++counters_.divergent_branches;
+          w->poll_pc = -1;
+        }
         break;
       }
       case XOp::kSsy:
@@ -865,7 +917,7 @@ void Gpu::run_warp(const std::shared_ptr<WarpExec>& w) {
         return;  // parked until the barrier releases
       }
       case XOp::kLd:
-        if (exec_load(w, in, dt)) return;
+        if (exec_load(w, in, dt, steps)) return;
         break;
       case XOp::kSt:
         exec_store(w, in, dt);

@@ -103,6 +103,10 @@ class Gpu : public pcie::Endpoint {
   PerfCounters counters_snapshot() const { return counters_; }
   void reset_counters() { counters_ = PerfCounters{}; }
 
+  /// Host-only: iterations of pure device poll loops charged instead of
+  /// executed (already in counters() and the simulation's event counts).
+  std::uint64_t probes_skipped() const { return probes_skipped_; }
+
   L2Cache& l2() { return l2_; }
   pcie::GpuP2pReadServer& p2p_server() { return p2p_; }
   pcie::EndpointId endpoint_id() const { return endpoint_id_; }
@@ -153,8 +157,18 @@ class Gpu : public pcie::Endpoint {
 
   /// Executes LD for the warp; returns true if the warp was suspended
   /// (continuation scheduled) and the caller must stop the inline slice.
+  /// `steps` counts the instructions of the current slice, this one too.
   bool exec_load(const std::shared_ptr<WarpExec>& w, const Decoded& in,
-                 SimDuration& dt);
+                 SimDuration& dt, unsigned steps);
+  /// Completion of a device-memory load: samples the lanes, then runs
+  /// the warp on. For a poll-loop head it also ends the loop's wait when
+  /// the warp leaves the loop.
+  void finish_l2_load(const std::shared_ptr<WarpExec>& w, const Decoded& in);
+  /// Queues the completion of a pure device poll loop's failed iteration
+  /// as a probe (sim::Simulation::schedule_reprobe) and charges the
+  /// iterations it skips.
+  void reprobe_l2_poll(const std::shared_ptr<WarpExec>& w, const Decoded& in,
+                       SimDuration interval);
   void exec_store(const std::shared_ptr<WarpExec>& w, const Decoded& in,
                   SimDuration& dt);
   bool exec_atomic(const std::shared_ptr<WarpExec>& w, const Decoded& in,
@@ -171,6 +185,8 @@ class Gpu : public pcie::Endpoint {
   PerfCounters counters_;
   std::uint32_t active_kernels_ = 0;
   std::uint64_t next_warp_id_ = 0;
+  std::uint32_t device_pollers_ = 0;  // warps whose poll loop is registered
+  std::uint64_t probes_skipped_ = 0;
   std::unordered_map<std::uint32_t, std::unique_ptr<StreamState>> streams_;
 
   struct SysmemReadJob {

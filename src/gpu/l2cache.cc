@@ -43,23 +43,31 @@ bool L2Cache::access(mem::Addr addr, bool is_write) {
   return false;
 }
 
+void L2Cache::charge_hits(mem::Addr addr, std::uint64_t n) {
+  const std::uint64_t line = line_addr(addr);
+  const std::size_t i = find(set_of(line), line);
+  assert(i < lines_.size() && "charged hits on an absent line");
+  clock_ += n;
+  hits_ += n;
+  lines_[i].lru_stamp = clock_;
+}
+
+std::uint64_t L2Cache::lru_stamp(mem::Addr addr) const {
+  const std::uint64_t line = line_addr(addr);
+  const std::size_t i = find(set_of(line), line);
+  return i < lines_.size() ? lines_[i].lru_stamp : 0;
+}
+
 void L2Cache::invalidate_range(mem::Addr addr, std::uint64_t len) {
   if (len == 0) return;
   const std::uint64_t first = line_addr(addr);
   const std::uint64_t last = line_addr(addr + len - 1);
-  // A line lives in at most one way (access() allocates only on a miss),
-  // so each probe stops at its first match, and sets holding no valid
-  // line are skipped outright.
+  // Sets holding no valid line are skipped outright.
   for (std::uint64_t line = first; line <= last; ++line) {
     const std::uint32_t set = set_of(line);
     if (set_valid_[set] == 0) continue;
-    Line* slot = &lines_[static_cast<std::size_t>(set) * cfg_.ways];
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-      if (slot[w].valid && slot[w].tag == line) {
-        invalidate_line(set, slot[w]);
-        break;
-      }
-    }
+    const std::size_t i = find(set, line);
+    if (i < lines_.size()) invalidate_line(set, lines_[i]);
   }
 }
 

@@ -34,6 +34,12 @@ class L2Cache {
   /// Returns true on hit.
   bool access(mem::Addr addr, bool is_write);
 
+  /// Accounts `n` more read hits on the valid line containing `addr`,
+  /// exactly as `n` back-to-back access() calls would: the LRU clock and
+  /// the hit count advance by `n` and the line's stamp reads the last.
+  /// For device poll probes charged instead of executed.
+  void charge_hits(mem::Addr addr, std::uint64_t n);
+
   /// Invalidates every line overlapping [addr, addr+len) — the DMA-write
   /// coherence action. Skips sets that hold no valid line.
   void invalidate_range(mem::Addr addr, std::uint64_t len);
@@ -43,6 +49,9 @@ class L2Cache {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t invalidations() const { return invalidations_; }
+  std::uint64_t clock() const { return clock_; }
+  /// LRU stamp of the valid line containing `addr`; 0 when absent.
+  std::uint64_t lru_stamp(mem::Addr addr) const;
   const L2Config& config() const { return cfg_; }
 
  private:
@@ -55,6 +64,16 @@ class L2Cache {
   std::uint64_t line_addr(mem::Addr addr) const { return addr / cfg_.line_size; }
   std::uint32_t set_of(std::uint64_t line) const {
     return static_cast<std::uint32_t>(line % cfg_.num_sets);
+  }
+  /// Index in lines_ of the valid line holding `line` (which maps to
+  /// `set`), or lines_.size(). A line lives in at most one way (access()
+  /// allocates only on a miss).
+  std::size_t find(std::uint32_t set, std::uint64_t line) const {
+    const std::size_t base = static_cast<std::size_t>(set) * cfg_.ways;
+    for (std::size_t i = base; i < base + cfg_.ways; ++i) {
+      if (lines_[i].valid && lines_[i].tag == line) return i;
+    }
+    return lines_.size();
   }
   void invalidate_line(std::uint32_t set, Line& l) {
     l.valid = false;

@@ -184,6 +184,32 @@ XOp predecode_op(const Instr& in) {
   return XOp::kNop;
 }
 
+/// True when code[h] heads a pure device poll loop (Decoded::poll_head):
+/// `ld rd, [ra+imm]`; `setp` of the loaded value; a conditional `bra`
+/// back to h. The address register is written by neither instruction,
+/// and each compare source is the loaded value or a register the loop
+/// never writes, so a failed iteration is a fixed point of the warp
+/// state. The body holds no store or atomic by construction; whether the
+/// load reads device memory is known only at run time.
+bool is_pure_poll_head(const std::vector<Instr>& code, std::size_t h) {
+  if (h + 2 >= code.size()) return false;
+  const Instr& ld = code[h];
+  const Instr& setp = code[h + 1];
+  const Instr& bra = code[h + 2];
+  if (ld.op != Op::kLd ||
+      (setp.op != Op::kSetp && setp.op != Op::kSetpI) ||
+      bra.op != Op::kBra || bra.cond == BraCond::kAlways ||
+      bra.target != static_cast<std::int32_t>(h)) {
+    return false;
+  }
+  if (ld.ra == ld.rd || ld.ra == setp.rd) return false;
+  const auto invariant_or_loaded = [&](std::uint8_t r) {
+    return r == ld.rd || r != setp.rd;
+  };
+  return invariant_or_loaded(setp.ra) &&
+         (setp.op == Op::kSetpI || invariant_or_loaded(setp.rb));
+}
+
 }  // namespace
 
 const std::vector<Decoded>& Program::decoded() const {
@@ -200,6 +226,7 @@ const std::vector<Decoded>& Program::decoded() const {
     d.target = in.target;
     d.imm = static_cast<std::uint64_t>(in.imm);
     if (in.op == Op::kShlI || in.op == Op::kShrI) d.imm &= 63;
+    d.poll_head = is_pure_poll_head(code_, decoded_.size());
     decoded_.push_back(d);
   }
   return decoded_;

@@ -44,6 +44,12 @@ struct Decoded {
   std::uint8_t ra = 0;
   std::uint8_t rb = 0;
   std::uint8_t width = 8;
+  /// This LD heads a *pure device poll loop*: `ld` → `setp` → `bra` back
+  /// to the `ld`, whose only written registers are the loaded value and
+  /// the predicate, neither of which feeds the address or (except the
+  /// loaded value) the compare. Every failed iteration therefore leaves
+  /// the warp exactly as it found it (see Gpu::exec_load).
+  bool poll_head = false;
   std::int32_t target = -1;
   std::uint64_t imm = 0;
 };

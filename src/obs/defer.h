@@ -29,7 +29,10 @@ class ShardOpBuffer;
 
 /// The buffer bound to this thread for the current shard window, or
 /// nullptr when observability applies directly (the common case).
-extern thread_local ShardOpBuffer* t_shard_ops;
+/// constinit: reads go straight to the TLS slot, with no call through the
+/// init wrapper GCC emits for an `extern thread_local` that might need
+/// dynamic initialisation (UBSan reports a null load inside it).
+extern constinit thread_local ShardOpBuffer* t_shard_ops;
 inline ShardOpBuffer* shard_ops() { return t_shard_ops; }
 
 // Out-of-line deferred recorders, defined in shard_sink.cc. Callers

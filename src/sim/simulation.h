@@ -11,7 +11,8 @@
 // crossing shards enter through schedule_admitted() carrying the
 // sender's birth stamp.
 //
-// Poll loops (PollUntil in coro.h) schedule their re-probes through
+// Poll loops (PollUntil in coro.h, and the GPU's device-memory poll
+// loops in gpu/device.cc) schedule their re-probes through
 // schedule_reprobe(). While every waiting loop has failed a probe since
 // the last plain event, nothing can change what the next probes read,
 // so a loop jumps to its first probe at or after the next plain event
@@ -52,7 +53,8 @@ class Simulation {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
-  /// A waiting poll loop's registration; PollUntil owns one.
+  /// A waiting poll loop's registration; PollUntil and every GPU warp
+  /// own one.
   struct PollLoop {
     SimDuration interval = 0;
     std::uint64_t settled_epoch = 0;  // epoch of its last failed probe
@@ -77,6 +79,14 @@ class Simulation {
 
   /// `loop`'s predicate held; it no longer waits.
   void poll_done(PollLoop& loop);
+
+  /// A plain event ran (or driver code did, or a probe went on to change
+  /// state, as a device poll loop's exiting probe does): every loop is
+  /// unsettled.
+  void new_epoch() {
+    ++epoch_;
+    settled_ = 0;
+  }
 
   /// Re-probes run as events, and re-probes charged by schedule_reprobe()
   /// instead. Host-only: not part of any fingerprint (both are already in
@@ -211,12 +221,6 @@ class Simulation {
    private:
     Simulation& sim_;
   };
-
-  /// A plain event ran (or driver code did): every loop is unsettled.
-  void new_epoch() {
-    ++epoch_;
-    settled_ = 0;
-  }
 
   /// schedule_reprobe's bookkeeping: registers `loop`, marks it settled
   /// when skipping is armed, and returns the probes it may charge.

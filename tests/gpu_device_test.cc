@@ -3,6 +3,9 @@
 // PCIe endpoint personality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -10,7 +13,11 @@
 #include "gpu/device.h"
 #include "gpu/l2cache.h"
 #include "mem/memory_domain.h"
+#include "obs/flow.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "pcie/fabric.h"
+#include "sim/coro.h"
 #include "sim/simulation.h"
 
 namespace pg::gpu {
@@ -581,6 +588,453 @@ TEST(L2Cache, PropertyInvalidationMatchesFullScanModel) {
   l2.invalidate_range(base, 64 * 1024);
   EXPECT_EQ(l2.invalidations(), after_all);
   EXPECT_FALSE(l2.access(base, false));
+}
+
+// --- Device poll-loop fast-forward equivalence ---------------------------
+
+// Pure device poll loops re-probe through sim::Simulation::schedule_reprobe,
+// which charges provably failing probes only inside run(), run_until() and
+// run_until_condition*(); step_one() never skips. Every scenario therefore
+// runs twice under the same driver script, armed (run_until/run) and
+// stepped (step_one), and every observable must agree.
+
+constexpr Addr kFlags = AddressMap::kGpuDramBase + 0x20000;  // 512 B a block
+constexpr Addr kRows = AddressMap::kGpuDramBase + 0x40000;   // per thread
+constexpr Addr kHostFlag = AddressMap::kHostDramBase + 0x20000;
+constexpr unsigned kMaxRounds = 3;
+constexpr unsigned kRowWords = kMaxRounds + 1;
+
+struct PollKernelPlan {
+  std::uint32_t blocks = 1;
+  std::uint32_t threads = 1;
+  unsigned width = 8;
+  unsigned stride = 0;  // bytes between the lanes' polled words
+  unsigned rounds = 1;
+  bool store_in_loop = false;  // a store between ld and setp: no pure loop
+};
+
+Addr flag_of(std::uint32_t block) { return kFlags + block * 512ull; }
+
+/// Each thread waits `rounds` times for its block's flag to reach the
+/// round number (ld/setp/bra), stamps the clock into its result row after
+/// each wait, and finally stores the last value it loaded.
+Program poll_kernel(const PollKernelPlan& k) {
+  Assembler a("device_poll");
+  const Reg flags(4), rows(5), tid(8), addr(9), row(10), round(11),
+      expected(12), v(13), pred(14), t(15);
+  a.sreg(tid, Sreg::kTidX);
+  a.sreg(addr, Sreg::kCtaidX);
+  a.muli(addr, addr, 512);
+  a.add(addr, addr, flags);
+  a.muli(t, tid, k.stride);
+  a.add(addr, addr, t);
+  a.sreg(row, Sreg::kCtaidX);
+  a.muli(row, row, k.threads);
+  a.add(row, row, tid);
+  a.muli(row, row, 8 * kRowWords);
+  a.add(row, row, rows);
+  a.movi(round, 0);
+  a.bind("round");
+  a.addi(expected, round, 1);
+  a.bind("poll");
+  a.ld(v, addr, 0, k.width);
+  if (k.store_in_loop) a.st(row, v, 8 * kMaxRounds, 8);
+  a.setp(Cmp::kLtU, pred, v, expected);
+  a.bra_if(pred, "poll");
+  a.sreg(t, Sreg::kClock);
+  a.st(row, t, 0, 8);
+  a.addi(row, row, 8);
+  a.addi(round, round, 1);
+  a.setpi(Cmp::kLtU, pred, round, k.rounds);
+  a.bra_if(pred, "round");
+  a.st(row, v, 0, 8);
+  a.exit();
+  auto p = a.finish();
+  EXPECT_TRUE(p.is_ok()) << p.status().to_string();
+  return std::move(p).value();
+}
+
+/// The bytes a DMA writer lands to set every polled word of `block` to
+/// `value` at once (lanes of one warp never see different values, so the
+/// poll branch never diverges).
+struct DmaWrite {
+  SimTime when = 0;  // ignored for driver-code writes
+  int gpu = 0;
+  Addr addr = 0;
+  std::vector<std::uint8_t> bytes;
+};
+
+DmaWrite flag_write(const PollKernelPlan& k, int gpu, std::uint32_t block,
+                    std::uint64_t value, SimTime when = 0) {
+  DmaWrite w{when, gpu, flag_of(block), {}};
+  const unsigned words = k.stride == 0 ? 1 : k.threads;
+  w.bytes.assign(static_cast<std::size_t>(k.stride) * (words - 1) + k.width,
+                 0);
+  for (unsigned i = 0; i < words; ++i) {
+    std::memcpy(w.bytes.data() + static_cast<std::size_t>(i) * k.stride,
+                &value, k.width);
+  }
+  return w;
+}
+
+struct DriverStep {
+  SimTime deadline;
+  std::optional<DmaWrite> write;  // landed by driver code after the run
+  bool set_host_flag = false;     // driver code sets the host flag
+};
+
+struct DevicePollScenario {
+  std::vector<GpuConfig> gpus;
+  std::vector<PollKernelPlan> kernels;  // one per GPU
+  std::vector<DmaWrite> writes;         // plain events
+  bool host_poll = true;                // a host loop on the host flag
+  SimTime host_flag_at = -1;            // plain event; -1: driver sets it
+  bool host_polls_gpu0 = false;         // a second host loop on GPU 0
+  std::vector<DriverStep> steps;
+};
+
+struct DevicePollObserved {
+  // Per driver return: now, total_scheduled, events_executed, then each
+  // GPU's counters, L2 totals and the polled lines' LRU stamps.
+  std::vector<std::vector<std::uint64_t>> returns;
+  std::vector<SimTime> kernel_done;
+  std::vector<SimTime> host_woke;
+  std::vector<std::uint64_t> words;  // every flag and result row
+  std::uint64_t probes_executed = 0;  // host-only, not compared
+  std::uint64_t probes_skipped = 0;   // host and device loops
+  std::uint64_t warp_probes_skipped = 0;  // device loops alone
+};
+
+struct PollNode {
+  mem::MemoryDomain memory;
+  pcie::Fabric fabric;
+  std::unique_ptr<Gpu> gpu;
+  PollNode(sim::Simulation& sim, const GpuConfig& cfg, const char* name)
+      : fabric(sim, memory, pcie::FabricConfig{}),
+        gpu(std::make_unique<Gpu>(sim, fabric, memory, cfg, name)) {}
+};
+
+sim::SimTask host_poller(sim::Simulation& sim, std::function<bool()> pred,
+                         SimTime* woke) {
+  sim::PollUntil poll{sim, std::move(pred), nanoseconds(60), nanoseconds(20)};
+  co_await poll;
+  *woke = sim.now();
+}
+
+void fingerprint(Gpu& g, const PollKernelPlan& k,
+                 std::vector<std::uint64_t>& out) {
+  const PerfCounters& c = g.counters();
+  for (std::uint64_t v :
+       {c.instructions_executed, c.memory_accesses,
+        c.sysmem_read_transactions, c.sysmem_write_transactions,
+        c.globmem_read64, c.globmem_write64, c.globmem_read_other,
+        c.globmem_write_other, c.l2_read_requests, c.l2_read_hits,
+        c.l2_read_misses, c.l2_write_requests, c.shared_reads,
+        c.shared_writes, c.branches, c.divergent_branches, c.warps_launched,
+        c.blocks_launched, c.kernels_launched}) {
+    out.push_back(v);
+  }
+  L2Cache& l2 = g.l2();
+  out.push_back(l2.hits());
+  out.push_back(l2.misses());
+  out.push_back(l2.invalidations());
+  out.push_back(l2.clock());
+  for (std::uint32_t b = 0; b < k.blocks; ++b) {
+    for (Addr line = 0; line < 512; line += 128) {
+      out.push_back(l2.lru_stamp(flag_of(b) + line));
+    }
+  }
+}
+
+DevicePollObserved run_device_poll(const DevicePollScenario& sc,
+                                   bool stepped) {
+  sim::Simulation sim;
+  std::vector<std::unique_ptr<PollNode>> nodes;
+  std::vector<Program> programs;
+  for (std::size_t i = 0; i < sc.gpus.size(); ++i) {
+    nodes.push_back(std::make_unique<PollNode>(sim, sc.gpus[i],
+                                               i == 0 ? "gpu0" : "gpu1"));
+    programs.push_back(poll_kernel(sc.kernels[i]));
+  }
+  DevicePollObserved obs;
+  obs.kernel_done.assign(nodes.size(), -1);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const PollKernelPlan& k = sc.kernels[i];
+    nodes[i]->gpu->launch({.program = &programs[i],
+                           .blocks = k.blocks,
+                           .threads_per_block = k.threads,
+                           .params = {kFlags, kRows}},
+                          [&obs, &sim, i] { obs.kernel_done[i] = sim.now(); });
+  }
+  auto land = [&nodes](const DmaWrite& w) {
+    nodes[static_cast<std::size_t>(w.gpu)]->gpu->inbound_write(w.addr,
+                                                               w.bytes);
+  };
+  for (const DmaWrite& w : sc.writes) {
+    sim.schedule_at(w.when, [&land, &w] { land(w); });
+  }
+  mem::MemoryDomain& host = nodes[0]->memory;
+  if (sc.host_flag_at >= 0) {
+    sim.schedule_at(sc.host_flag_at, [&host] { host.write_u64(kHostFlag, 1); });
+  }
+  obs.host_woke.assign(2, -1);
+  std::vector<sim::SimTask> tasks;
+  if (sc.host_poll) {
+    tasks.push_back(host_poller(
+        sim, [&host] { return host.read_u64(kHostFlag) != 0; },
+        &obs.host_woke[0]));
+  }
+  if (sc.host_polls_gpu0) {
+    const std::uint64_t last = sc.kernels[0].rounds;
+    tasks.push_back(host_poller(
+        sim, [&host, last] { return host.read_u64(flag_of(0)) >= last; },
+        &obs.host_woke[1]));
+  }
+
+  auto note_return = [&] {
+    std::vector<std::uint64_t> r{static_cast<std::uint64_t>(sim.now()),
+                                 sim.total_scheduled(),
+                                 sim.events_executed()};
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      fingerprint(*nodes[i]->gpu, sc.kernels[i], r);
+    }
+    obs.returns.push_back(std::move(r));
+  };
+  for (const DriverStep& st : sc.steps) {
+    if (stepped) {
+      while (!sim.idle() && sim.next_time() <= st.deadline) sim.step_one();
+      sim.fence_now(st.deadline);
+    } else {
+      sim.run_until(st.deadline);
+    }
+    note_return();
+    if (st.write) land(*st.write);
+    if (st.set_host_flag) host.write_u64(kHostFlag, 1);
+  }
+  if (stepped) {
+    while (!sim.idle()) sim.step_one();
+  } else {
+    sim.run();
+  }
+  note_return();
+
+  for (const sim::SimTask& t : tasks) EXPECT_TRUE(t.done());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const PollKernelPlan& k = sc.kernels[i];
+    const mem::MemoryDomain& m = nodes[i]->memory;
+    for (std::uint32_t b = 0; b < k.blocks; ++b) {
+      obs.words.push_back(m.read_u64(flag_of(b)));
+    }
+    for (std::uint32_t t = 0; t < k.blocks * k.threads; ++t) {
+      for (unsigned w = 0; w < kRowWords; ++w) {
+        obs.words.push_back(m.read_u64(kRows + (t * kRowWords + w) * 8));
+      }
+    }
+  }
+  obs.probes_executed = sim.probes_executed();
+  obs.probes_skipped = sim.probes_skipped();
+  for (const auto& n : nodes) obs.warp_probes_skipped += n->gpu->probes_skipped();
+  return obs;
+}
+
+void expect_same(const DevicePollObserved& got,
+                 const DevicePollObserved& ref) {
+  ASSERT_EQ(got.returns, ref.returns);
+  ASSERT_EQ(got.kernel_done, ref.kernel_done);
+  ASSERT_EQ(got.host_woke, ref.host_woke);
+  ASSERT_EQ(got.words, ref.words);
+}
+
+DevicePollScenario draw_device_poll(std::uint64_t seed) {
+  Rng rng(seed);
+  auto pick = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return static_cast<SimTime>(lo + rng.next_below(hi - lo + 1));
+  };
+  DevicePollScenario sc;
+  for (int g = 0; g < 2; ++g) {
+    GpuConfig cfg;
+    // A one-set L2 makes blocks polling different lines evict each other.
+    if (rng.next_below(3) == 0) cfg.l2 = L2Config{128, 1, 1};
+    sc.gpus.push_back(cfg);
+    PollKernelPlan k;
+    k.blocks = static_cast<std::uint32_t>(pick(1, 2));
+    const std::uint32_t threads[] = {1, 1, 3, 4, 32, 40};
+    k.threads = threads[rng.next_below(6)];
+    k.width = rng.next_below(2) == 0 ? 8 : 4;
+    k.stride = rng.next_below(2) == 0 ? 0 : k.width;
+    k.rounds = static_cast<unsigned>(pick(1, kMaxRounds));
+    sc.kernels.push_back(k);
+    // Each block's flag climbs to `rounds` or past it in random steps,
+    // at random times; some writes land from driver code below instead.
+    const Addr words_end = k.stride == 0 ? 8 : k.threads * k.stride;
+    for (std::uint32_t b = 0; b < k.blocks; ++b) {
+      std::vector<std::uint64_t> values{static_cast<std::uint64_t>(pick(1, 2))};
+      while (values.back() < k.rounds) values.push_back(values.back() + pick(1, 2));
+      std::vector<SimTime> times;
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        times.push_back(nanoseconds(pick(1000, 40000)));
+      }
+      std::sort(times.begin(), times.end());
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        sc.writes.push_back(flag_write(k, g, b, values[i], times[i]));
+      }
+      // DMA noise past the polled words, on the last polled line: it
+      // invalidates that line without changing what the lanes read.
+      for (int n = static_cast<int>(pick(0, 2)); n > 0; --n) {
+        sc.writes.push_back(DmaWrite{nanoseconds(pick(1000, 40000)), g,
+                                     flag_of(b) + words_end + 8 * pick(0, 3),
+                                     std::vector<std::uint8_t>(8, 0xAB)});
+      }
+    }
+  }
+  // A noise write at the instant of another write.
+  DmaWrite twin = sc.writes.back();
+  twin.when = sc.writes[rng.next_below(sc.writes.size())].when;
+  sc.writes.push_back(twin);
+  sc.host_polls_gpu0 = rng.next_below(2) == 0;
+  const bool driver_sets_host = rng.next_below(3) == 0;
+  if (!driver_sets_host) sc.host_flag_at = nanoseconds(pick(500, 45000));
+  SimTime deadline = 0;
+  for (int n = static_cast<int>(pick(driver_sets_host ? 1 : 0, 4)); n > 0;
+       --n) {
+    deadline += nanoseconds(pick(100, 15000));
+    DriverStep st{deadline, std::nullopt, false};
+    if (rng.next_below(3) == 0) {
+      const int g = static_cast<int>(rng.next_below(2));
+      const PollKernelPlan& k = sc.kernels[static_cast<std::size_t>(g)];
+      st.write = flag_write(k, g, 0, k.rounds);
+    }
+    sc.steps.push_back(std::move(st));
+  }
+  if (driver_sets_host) sc.steps.back().set_host_flag = true;
+  return sc;
+}
+
+TEST(DevicePollFastForward, PropertyMatchesSteppedLoop) {
+  std::uint64_t skipped = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const DevicePollScenario sc = draw_device_poll(seed);
+    const DevicePollObserved ref = run_device_poll(sc, /*stepped=*/true);
+    const DevicePollObserved got = run_device_poll(sc, /*stepped=*/false);
+    ASSERT_EQ(ref.probes_skipped, 0u);
+    expect_same(got, ref);
+    if (HasFatalFailure()) return;
+    skipped += got.warp_probes_skipped;
+  }
+  EXPECT_GT(skipped, 0u);  // the property is not vacuous
+}
+
+/// One GPU, one kernel, its flag landing by DMA at 30 us.
+DevicePollScenario single_poll(const PollKernelPlan& k,
+                               GpuConfig cfg = GpuConfig{}) {
+  DevicePollScenario sc;
+  sc.gpus = {cfg};
+  sc.kernels = {k};
+  for (std::uint32_t b = 0; b < k.blocks; ++b) {
+    sc.writes.push_back(flag_write(k, 0, b, k.rounds, microseconds(30)));
+  }
+  sc.host_flag_at = microseconds(20);
+  return sc;
+}
+
+TEST(DevicePollFastForward, SettledProbesAreChargedExactly) {
+  // One warp spinning 24 us on an L2 hit: nearly all of its probes are
+  // charged, and every counter, the L2 clock and the line's stamp read
+  // what stepping gives.
+  const DevicePollScenario sc = single_poll(PollKernelPlan{});
+  const DevicePollObserved ref = run_device_poll(sc, true);
+  const DevicePollObserved got = run_device_poll(sc, false);
+  expect_same(got, ref);
+  EXPECT_GT(got.warp_probes_skipped, 100u);
+  EXPECT_LT(got.probes_executed, 20u);
+  // Four lanes on one 32-byte sector still make one L2 request a probe.
+  const DevicePollScenario lanes =
+      single_poll(PollKernelPlan{.threads = 4, .width = 8, .stride = 8});
+  const DevicePollObserved lanes_got = run_device_poll(lanes, false);
+  expect_same(lanes_got, run_device_poll(lanes, true));
+  EXPECT_GT(lanes_got.warp_probes_skipped, 100u);
+}
+
+TEST(DevicePollFastForward, MetricsAloneChargeL2LoadsInBulk) {
+  const DevicePollScenario sc = single_poll(PollKernelPlan{});
+  std::uint64_t loads[2];
+  for (bool stepped : {true, false}) {
+    obs::MetricsRegistry reg;
+    obs::attach_metrics(&reg);
+    const DevicePollObserved o = run_device_poll(sc, stepped);
+    obs::attach_metrics(nullptr);
+    loads[stepped] = reg.counter("gpu.l2_loads").value();
+    if (!stepped) {
+      EXPECT_GT(o.warp_probes_skipped, 100u);
+    }
+  }
+  EXPECT_EQ(loads[0], loads[1]);
+  EXPECT_GT(loads[0], 100u);
+}
+
+TEST(DevicePollFastForward, NoSkipForMissingLoad) {
+  // A DMA writer lands a non-matching value on the polled word every
+  // 100 ns, less than one iteration: every re-issue misses in L2, so no
+  // iteration is a pure probe.
+  DevicePollScenario sc = single_poll(PollKernelPlan{});
+  sc.host_poll = false;
+  for (SimTime t = microseconds(5); t < microseconds(30);
+       t += nanoseconds(100)) {
+    sc.writes.push_back(flag_write(sc.kernels[0], 0, 0, 0, t));
+  }
+  const DevicePollObserved ref = run_device_poll(sc, true);
+  const DevicePollObserved got = run_device_poll(sc, false);
+  expect_same(got, ref);
+  EXPECT_EQ(got.probes_executed + got.probes_skipped, 0u);
+  const std::vector<std::uint64_t>& last = got.returns.back();
+  const std::size_t l2_hits = 3 + 9;  // after now/sched/exec: l2_read_hits
+  EXPECT_EQ(last[l2_hits], 0u);
+}
+
+TEST(DevicePollFastForward, NoSkipForMultiSectorLoad) {
+  // Two lanes polling words 64 B apart: two sectors per iteration.
+  const DevicePollScenario sc =
+      single_poll(PollKernelPlan{.threads = 2, .width = 8, .stride = 64});
+  const DevicePollObserved ref = run_device_poll(sc, true);
+  const DevicePollObserved got = run_device_poll(sc, false);
+  expect_same(got, ref);
+  EXPECT_EQ(got.warp_probes_skipped, 0u);
+}
+
+TEST(DevicePollFastForward, NoSkipForLoopWithStore) {
+  const DevicePollScenario sc =
+      single_poll(PollKernelPlan{.store_in_loop = true});
+  const DevicePollObserved ref = run_device_poll(sc, true);
+  const DevicePollObserved got = run_device_poll(sc, false);
+  expect_same(got, ref);
+  EXPECT_EQ(got.warp_probes_skipped, 0u);
+}
+
+TEST(DevicePollFastForward, NoSkipWhenTracedOrFlowed) {
+  // A trace records every L2 read and a FlowTable may end a lifecycle at
+  // any probe: with either attached, every device probe runs. (The host
+  // loop beside it still skips between the GPU's plain events.)
+  const DevicePollScenario sc = single_poll(PollKernelPlan{});
+  for (int sink = 0; sink < 2; ++sink) {
+    SCOPED_TRACE(sink == 0 ? "trace" : "flows");
+    std::size_t trace_events[2] = {0, 0};
+    std::uint64_t executed[2] = {0, 0};
+    for (bool stepped : {true, false}) {
+      obs::TraceRecorder rec;
+      obs::FlowTable flows;
+      if (sink == 0) obs::attach_recorder(&rec);
+      if (sink == 1) obs::attach_flows(&flows);
+      const DevicePollObserved o = run_device_poll(sc, stepped);
+      obs::attach_recorder(nullptr);
+      obs::attach_flows(nullptr);
+      trace_events[stepped] = rec.event_count();
+      executed[stepped] = o.returns.back()[2];
+      EXPECT_EQ(o.warp_probes_skipped, 0u);
+    }
+    EXPECT_EQ(trace_events[0], trace_events[1]);
+    EXPECT_EQ(executed[0], executed[1]);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // host arithmetic).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "gpu/assembler.h"
 #include "gpu/program.h"
@@ -70,6 +72,72 @@ TEST(Program, DisassemblyIsReadable) {
 }
 
 // --- WarpState divergence ----------------------------------------------------
+
+TEST(Program, MarksPureDevicePollLoopHeads) {
+  // ld -> setp -> bra back to the ld, writing neither the address nor a
+  // compare source other than the loaded value: a failed iteration leaves
+  // the warp unchanged, so only such heads are marked.
+  auto marked = [](void (*body)(Assembler&)) {
+    Assembler a("loop");
+    a.movi(Reg(10), 1);
+    a.bind("poll");
+    body(a);
+    a.exit();
+    auto prog = a.finish();
+    EXPECT_TRUE(prog.is_ok()) << prog.status().to_string();
+    std::vector<int> heads;
+    const auto& code = prog->decoded();
+    for (std::size_t i = 0; i < code.size(); ++i) {
+      if (code[i].poll_head) heads.push_back(static_cast<int>(i));
+    }
+    return heads;
+  };
+  // emit_poll_equals and emit_ib_poll_cq's shapes.
+  EXPECT_EQ(marked([](Assembler& a) {
+              a.ld(Reg(8), Reg(4), 0, 8);
+              a.setp(Cmp::kNe, Reg(9), Reg(8), Reg(10));
+              a.bra_if(Reg(9), "poll");
+            }),
+            std::vector<int>{1});
+  EXPECT_EQ(marked([](Assembler& a) {
+              a.ld(Reg(8), Reg(4), 16, 4);
+              a.setpi(Cmp::kEq, Reg(8), Reg(8), 0);
+              a.bra_ifnot(Reg(8), "poll");
+            }),
+            std::vector<int>{1});
+  // The compare reads its own previous output: iterations may differ.
+  EXPECT_TRUE(marked([](Assembler& a) {
+                a.ld(Reg(8), Reg(4), 0, 8);
+                a.setp(Cmp::kNe, Reg(9), Reg(9), Reg(8));
+                a.bra_if(Reg(9), "poll");
+              }).empty());
+  // The address register is rewritten (a pointer chase, or the
+  // predicate): the next iteration may load elsewhere.
+  EXPECT_TRUE(marked([](Assembler& a) {
+                a.ld(Reg(4), Reg(4), 0, 8);
+                a.setpi(Cmp::kEq, Reg(9), Reg(4), 0);
+                a.bra_if(Reg(9), "poll");
+              }).empty());
+  EXPECT_TRUE(marked([](Assembler& a) {
+                a.ld(Reg(8), Reg(4), 0, 8);
+                a.setpi(Cmp::kEq, Reg(4), Reg(8), 0);
+                a.bra_if(Reg(4), "poll");
+              }).empty());
+  // A store in the body, or a counted loop: not the three-instruction
+  // pattern.
+  EXPECT_TRUE(marked([](Assembler& a) {
+                a.ld(Reg(8), Reg(4), 0, 8);
+                a.st(Reg(4), Reg(8), 64, 8);
+                a.setpi(Cmp::kEq, Reg(9), Reg(8), 0);
+                a.bra_if(Reg(9), "poll");
+              }).empty());
+  EXPECT_TRUE(marked([](Assembler& a) {
+                a.ld(Reg(8), Reg(4), 0, 8);
+                a.addi(Reg(10), Reg(10), 1);
+                a.setpi(Cmp::kLt, Reg(9), Reg(10), 100);
+                a.bra_if(Reg(9), "poll");
+              }).empty());
+}
 
 TEST(WarpState, StartsWithRequestedLanes) {
   WarpState w4(4);
